@@ -66,6 +66,26 @@
 //		fmt.Println(path.Format(venue), path.Length)
 //	}
 //
+// # The search engine
+//
+// Every search an Engine runs — Route, the shared RouteMany and
+// RouteManyTo runs, and BuildSkeletonFamily — is one pass of a single
+// door-graph Dijkstra kernel (Algorithm 1). A search names four hooks:
+// its seed (a point, or an entry door for a skeleton build), its
+// target policy (Route's virtual target node, one best entry per
+// grouped query, or every anchor door of the target partition), its
+// direction (leave doors forward, or enter doors in reverse for a
+// destination-rooted run) and its door check (the method's TV_Check,
+// a skeleton slot's frozen openness, or none). The working set is flat:
+// per-door distance and parent slices, epoch stamps for the seen,
+// settled and visited marks, and a binary heap indexed by a slice, all
+// allocated on an engine's first search and reused by every later one.
+// A warm engine's Route allocates only the returned Path and its three
+// slices, and a skeleton build only the family and its chains. A
+// schedule change (Graph.WithSchedules) rebuilds the checkpoints and
+// snapshots but shares the distance matrices, which schedules do not
+// affect.
+//
 // # Concurrent serving
 //
 // A single Engine keeps reusable search state and is confined to one

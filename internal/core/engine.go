@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
-	"indoorpath/internal/pqueue"
-	"indoorpath/internal/temporal"
 )
 
 // Method selects the TV_Check strategy of the ITSPQ framework.
@@ -71,69 +68,36 @@ type SearchStats struct {
 	PartitionsVisited int          `json:"partitions_visited"`
 	HeapMax           int          `json:"heap_max"`
 	Checker           CheckerStats `json:"checker"`
-	// BytesEstimate models the search working set: distance/parent map
-	// entries, heap slots, the visited sets, and (for ITG/A) the
-	// snapshots consulted. It is the deterministic memory metric behind
-	// Fig. 7; the harness also reports live heap allocations.
+	// BytesEstimate models the search working set: per-door distance
+	// and parent entries, heap slots, the visited and settled marks, and
+	// (for ITG/A) the snapshots consulted. It is the deterministic
+	// memory metric behind Fig. 7 (see finishStats); the harness also
+	// reports live heap allocations.
 	BytesEstimate int     `json:"bytes_estimate"`
 	Found         bool    `json:"found"`
 	PathHops      int     `json:"path_hops"`
 	PathLength    float64 `json:"path_length"`
 }
 
-// searchState is the mutable working set of one ITSPQ search: the
-// frontier heap, the tentative distances, the parent chains and the
-// settled/visited marks. It is extracted from Engine so engines are
-// cheap to construct and pool (service.Pool keeps warm engines in a
-// sync.Pool); the maps are allocated on first use and cleared — not
-// reallocated — between queries, so a pooled engine reuses its
-// hash-table capacity across queries.
-type searchState struct {
-	heap     *pqueue.Heap
-	dist     map[int32]float64
-	prevDoor map[int32]int32
-	prevPart map[int32]model.PartitionID
-	settled  map[int32]bool
-	visited  map[model.PartitionID]bool
-}
-
-func newSearchState() *searchState {
-	return &searchState{
-		heap:     pqueue.New(64),
-		dist:     map[int32]float64{},
-		prevDoor: map[int32]int32{},
-		prevPart: map[int32]model.PartitionID{},
-		settled:  map[int32]bool{},
-		visited:  map[model.PartitionID]bool{},
-	}
-}
-
-// reset clears the state for the next query, keeping allocations.
-func (st *searchState) reset() {
-	st.heap.Reset()
-	clear(st.dist)
-	clear(st.prevDoor)
-	clear(st.prevPart)
-	clear(st.settled)
-	clear(st.visited)
-}
-
-// Engine answers ITSPQ queries over one IT-Graph. It keeps reusable
-// search state (a searchState) between queries, so a single Engine is
-// NOT safe for concurrent use. The intended concurrent deployment is
-// one engine per goroutine over one shared Graph — the graph, venue,
-// distance matrices and snapshot series are all safe for concurrent
-// readers — and service.Pool packages exactly that pattern: it keeps
-// warm engines in a sync.Pool and checks one out per query. NewEngine
-// is deliberately cheap (search maps are allocated lazily on the first
-// Route), so pooling engines costs little more than pooling the maps
-// themselves.
+// Engine answers ITSPQ queries over one IT-Graph. Every search it runs
+// — Route, the shared RouteMany and RouteManyTo runs, skeleton builds —
+// is one pass of the search kernel (kernel.go) over the engine's
+// searchState: flat per-door slices and a slice-indexed heap, allocated
+// on the first search and reused by every later one. An Engine is
+// therefore NOT safe for concurrent use. The intended concurrent
+// deployment is one engine per goroutine over one shared Graph — the
+// graph, venue, distance matrices and snapshot series are all safe for
+// concurrent readers — and service.Pool packages exactly that pattern:
+// it keeps warm engines in a sync.Pool and checks one out per query.
+// NewEngine is cheap; a pooled engine's state outlives its checkouts.
 type Engine struct {
 	g       *itgraph.Graph
 	v       *model.Venue
 	opts    Options
 	checker AccessChecker
-	st      *searchState // lazily allocated on first Route
+	pruner  leavePruner // the checker's reduced leave lists, if it has them
+	frozen  slotOpen    // a skeleton build's door check
+	st      *searchState
 }
 
 // NewEngine builds an engine for the graph with the given options.
@@ -151,6 +115,7 @@ func NewEngine(g *itgraph.Graph, opts Options) *Engine {
 	default:
 		e.checker = NewSynChecker(g)
 	}
+	e.pruner, _ = e.checker.(leavePruner)
 	return e
 }
 
@@ -159,14 +124,6 @@ func (e *Engine) Graph() *itgraph.Graph { return e.g }
 
 // MethodName returns the display name of the configured method.
 func (e *Engine) MethodName() string { return e.checker.Name() }
-
-func (e *Engine) reset() {
-	if e.st == nil {
-		e.st = newSearchState()
-		return
-	}
-	e.st.reset()
-}
 
 // legDist returns the intra-partition distance between two doors of
 // partition p, honouring the NoDistanceMatrix ablation.
@@ -200,214 +157,35 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 	}
 	t0 := q.At.Mod()
 	speed := q.speed()
-
-	e.reset()
-	e.checker.Begin(t0, speed)
-
-	srcH := int32(e.v.DoorCount())
-	tgtH := srcH + 1
-	inf := math.Inf(1)
-
-	if e.opts.EagerHeapInit {
-		// Algorithm 1 lines 2–5/7 literally: every door and pt start in
-		// the heap at distance ∞.
-		for d := 0; d < e.v.DoorCount(); d++ {
-			e.st.heap.Push(int32(d), inf)
-		}
-		e.st.heap.Push(tgtH, inf)
+	e.begin(t0, speed, true)
+	s := search{targets: toTarget, root: q.Source, rootPart: srcPart, target: q.Target, tgtPart: tgtPart,
+		check: e.checker, prune: e.pruner != nil}
+	if !e.run(&s, &stats) {
+		e.finishStats(&stats)
+		return nil, stats, ErrNoRoute
 	}
-	e.st.dist[srcH] = 0
-	e.st.heap.Push(srcH, 0)
-
-	for {
-		item, ok := e.st.heap.Pop()
-		if !ok || math.IsInf(item.Prio, 1) {
-			// Heap exhausted (lazy) or only ∞ entries remain (eager):
-			// "no such routes".
-			e.finishStats(&stats)
-			return nil, stats, ErrNoRoute
-		}
-		h := item.Key
-		stats.Pops++
-		if h == tgtH {
-			p := e.reconstruct(q, srcH, tgtH, srcPart, tgtPart, t0, speed)
-			stats.Found = true
-			stats.PathHops = p.Hops()
-			stats.PathLength = p.Length
-			e.finishStats(&stats)
-			return p, stats, nil
-		}
-		if e.st.settled[h] {
-			continue
-		}
-		e.st.settled[h] = true
-		stats.Settled++
-		baseDist := e.st.dist[h]
-
-		// Determine the partitions to expand into and the anchor door.
-		var anchor model.DoorID = model.NoDoor
-		var nexts []model.PartitionID
-		if h == srcH {
-			nexts = []model.PartitionID{srcPart}
-		} else {
-			anchor = model.DoorID(h)
-			nexts = e.v.NextPartitions(anchor, e.st.prevPart[h])
-		}
-		for _, w := range nexts {
-			// Entering the target's partition: the next hop is pt itself
-			// (Algorithm 1 lines 20–24).
-			if w == tgtPart {
-				var cand float64
-				if anchor == model.NoDoor {
-					cand = baseDist + e.g.DM().PointToPoint(w, q.Source, q.Target)
-				} else {
-					cand = baseDist + e.g.DM().PointToDoor(w, q.Target, anchor)
-				}
-				if old, seen := e.st.dist[tgtH]; (!seen || cand < old) && !math.IsInf(cand, 1) {
-					e.st.dist[tgtH] = cand
-					e.st.prevDoor[tgtH] = h
-					e.st.prevPart[tgtH] = w
-					e.st.heap.Push(tgtH, cand)
-					stats.Relaxations++
-				}
-				if w != srcPart || anchor != model.NoDoor {
-					// Do not expand through the target partition: any
-					// route entering and leaving it again is longer
-					// (convex cells, positive legs). The source
-					// partition must still be expanded normally.
-					continue
-				}
-			}
-			if e.opts.SinglePartitionExpansion && e.st.visited[w] {
-				continue
-			}
-			if w != srcPart && w != tgtPart && e.v.Partition(w).Kind.IsPrivate() {
-				continue // rule 2
-			}
-			if !e.st.visited[w] {
-				e.st.visited[w] = true
-				stats.PartitionsVisited++
-			}
-			e.expand(q, w, anchor, h, baseDist, &stats, srcPart, tgtPart)
-		}
-	}
+	tgtH := int32(e.v.DoorCount()) + 1
+	p := e.path(q.Source, q.Target, e.st.prevDoor[tgtH], tgtPart, e.st.dist[tgtH], t0, speed)
+	stats.Found = true
+	stats.PathHops = p.Hops()
+	stats.PathLength = p.Length
+	e.finishStats(&stats)
+	return p, stats, nil
 }
 
-// expand relaxes every leaveable door of partition w from the anchor
-// (Algorithm 1 lines 25–34). With the asynchronous checker, expansions
-// whose whole arrival window fits inside the current checkpoint slot
-// iterate the snapshot's reduced leave-door list instead, pruning
-// closed doors up front and skipping the per-door check (exactly
-// equivalent: listed doors are open throughout the slot).
-func (e *Engine) expand(q Query, w model.PartitionID, anchor model.DoorID, h int32,
-	baseDist float64, stats *SearchStats, srcPart, tgtPart model.PartitionID) {
-
-	doors := e.v.LeaveDoors(w)
-	checkEach := true
-	if pruner, ok := e.checker.(leavePruner); ok {
-		// Bound the longest possible leg inside w: the largest DM entry
-		// covers door-to-door legs; the rectangle diagonal covers the
-		// source-point legs of the first expansion.
-		maxLeg := e.g.DM().Matrix(w).MaxEntry()
-		if anchor == model.NoDoor {
-			r := e.v.Partition(w).Rect
-			if diag := math.Hypot(r.Width(), r.Height()); diag > maxLeg {
-				maxLeg = diag
-			}
-		}
-		if pruned, exact := pruner.PrunedLeaveDoors(w, baseDist, maxLeg); exact {
-			doors = pruned
-			checkEach = false
-		}
-	}
-	for _, dj := range doors {
-		hj := int32(dj)
-		if e.st.settled[hj] {
-			continue
-		}
-		// Early privacy prune (line 28): skip doors that lead only to
-		// private partitions, unless one holds ps or pt.
-		useful := false
-		for _, nxt := range e.v.NextPartitions(dj, w) {
-			if nxt == srcPart || nxt == tgtPart || !e.v.Partition(nxt).Kind.IsPrivate() {
-				useful = true
-				break
-			}
-		}
-		if !useful {
-			continue
-		}
-		var leg float64
-		if anchor == model.NoDoor {
-			leg = e.g.DM().PointToDoor(w, q.Source, dj)
-		} else {
-			leg = e.legDist(w, anchor, dj)
-		}
-		if math.IsInf(leg, 1) {
-			continue
-		}
-		distj := baseDist + leg
-		// TV_Check (line 30; see DESIGN.md on the printed polarity).
-		// Skipped when the reduced list already guarantees openness.
-		if checkEach && !e.checker.Check(dj, distj) {
-			continue
-		}
-		stats.Relaxations++
-		if old, seen := e.st.dist[hj]; !seen || distj < old {
-			e.st.dist[hj] = distj
-			e.st.prevDoor[hj] = h
-			e.st.prevPart[hj] = w
-			e.st.heap.Push(hj, distj)
-		}
-	}
-}
-
-// reconstruct rebuilds the path from the prev chains (Algorithm 1
-// lines 11–17).
-func (e *Engine) reconstruct(q Query, srcH, tgtH int32, srcPart, tgtPart model.PartitionID,
-	t0 temporal.TimeOfDay, speed float64) *Path {
-
-	var doors []model.DoorID
-	var parts []model.PartitionID
-	for h := e.st.prevDoor[tgtH]; h != srcH; h = e.st.prevDoor[h] {
-		doors = append(doors, model.DoorID(h))
-		parts = append(parts, e.st.prevPart[h])
-	}
-	// Reverse into forward order.
-	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
-		doors[i], doors[j] = doors[j], doors[i]
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	parts = append(parts, tgtPart)
-	length := e.st.dist[tgtH]
-	arrivals := make([]temporal.TimeOfDay, len(doors))
-	for i, d := range doors {
-		arrivals[i] = t0 + temporal.TimeOfDay(e.st.dist[int32(d)]/speed)
-	}
-	return &Path{
-		Source:       q.Source,
-		Target:       q.Target,
-		Doors:        doors,
-		Partitions:   parts,
-		Length:       length,
-		Arrivals:     arrivals,
-		ArrivalAtTgt: t0 + temporal.TimeOfDay(length/speed),
-		DepartedAt:   t0,
-	}
-}
-
-// finishStats derives the aggregate counters.
+// finishStats derives the aggregate counters of the search just run.
+// BytesEstimate is the fixed working-set model behind Fig. 7, kept
+// constant so figures stay comparable: three 48-byte entries per
+// touched handle (distance and both parent links), one 16-byte heap
+// slot per high-water entry, 16 bytes per visited partition and per
+// settled door, plus the snapshot bytes the checker consulted.
 func (e *Engine) finishStats(s *SearchStats) {
-	s.DoorsTouched = len(e.st.dist)
+	s.DoorsTouched = e.st.touched
 	s.HeapMax = e.st.heap.MaxLen()
 	s.Checker = e.checker.Stats()
-	// Working-set model: three hash-map entries per touched handle
-	// (dist, prevDoor, prevPart at ~48 B each incl. bucket overhead),
-	// one heap slot per high-water entry, one byte-pair per visited
-	// partition/settled door, plus consulted snapshot bytes.
-	s.BytesEstimate = len(e.st.dist)*3*48 +
+	s.BytesEstimate = s.DoorsTouched*3*48 +
 		s.HeapMax*16 +
-		len(e.st.visited)*16 + len(e.st.settled)*16 +
+		s.PartitionsVisited*16 + s.Settled*16 +
 		s.Checker.SnapshotBytes
 }
 

@@ -1,0 +1,456 @@
+package core
+
+import (
+	"math"
+
+	"indoorpath/internal/geom"
+	"indoorpath/internal/model"
+	"indoorpath/internal/pqueue"
+	"indoorpath/internal/temporal"
+)
+
+// The search kernel: the one door-graph Dijkstra (Algorithm 1) behind
+// Route, the shared RouteMany and RouteManyTo runs and the skeleton
+// build. A search fixes its hooks up front — where it starts, what it
+// looks for, which way it walks arcs and how it checks doors. The
+// kernel applies the target policy per popped door and partition
+// entered, and picks the door list and door check per partition
+// entered, so one relaxation loop serves every caller.
+
+// targetPolicy is what a search looks for.
+type targetPolicy uint8
+
+const (
+	// toTarget relaxes Route's virtual target node into the heap and
+	// stops when it pops.
+	toTarget targetPolicy = iota
+	// toGoals keeps one best entry per grouped query (searchState.goals)
+	// and stops once the frontier has passed every entry.
+	toGoals
+	// toAnchors records every door entering the target partition
+	// (searchState.anchors) and runs until the heap is exhausted.
+	toAnchors
+)
+
+// search is the parameter set of one kernel run.
+type search struct {
+	targets targetPolicy
+	// reverse walks arcs backwards over enter doors: a destination-rooted
+	// run over the arc-reversed door graph (RouteManyTo).
+	reverse bool
+	// root is the seed point in rootPart. A skeleton build seeds a door
+	// instead; rootPart is then the partition the door is entered from.
+	root     geom.Point
+	rootPart model.PartitionID
+	// target is toTarget's target point.
+	target geom.Point
+	// tgtPart holds the answer's end: toTarget's target, toAnchors'
+	// anchors, a reverse run's root. It is never expanded from a door —
+	// a route entering it and leaving again is longer (convex cells,
+	// positive legs). NoPartition in forward shared runs, which expand
+	// through their goals' partitions. rootPart and tgtPart are exempt
+	// from the privacy rule.
+	tgtPart model.PartitionID
+	// check is the per-door TV_Check; nil checks nothing.
+	check doorCheck
+	// prune serves an expansion from the checker's reduced leave-door
+	// list when its whole arrival window fits one checkpoint slot.
+	prune bool
+}
+
+// doorCheck is the kernel's per-door TV_Check hook: the engine's
+// AccessChecker for searches, slotOpen for skeleton builds.
+type doorCheck interface {
+	Check(d model.DoorID, dist float64) bool
+}
+
+// slotOpen is TV_Check under one checkpoint slot's frozen topology.
+// Checkpoints are exactly the instants any ATI opens or closes, so a
+// door's state at the slot start holds throughout the slot.
+type slotOpen struct {
+	v     *model.Venue
+	start temporal.TimeOfDay
+}
+
+func (c *slotOpen) Check(d model.DoorID, _ float64) bool { return c.v.Door(d).OpenAt(c.start) }
+
+// goal is one grouped query of a shared run, updated with exactly
+// Route's virtual-target relaxation rule (strict improvement only,
+// anchors in settle order).
+type goal struct {
+	idx  int // position in the caller's outcomes
+	pt   geom.Point
+	part model.PartitionID
+	next int32 // next goal in part, -1 at the end
+	dist float64
+	via  int32 // settled handle whose expansion set the entry
+	seen bool
+	done bool // the frontier passed dist: the entry can no longer improve
+}
+
+// searchState is the engine's reusable working set. Handles are door
+// IDs, then the root and the target sentinel; per-handle arrays are
+// flat slices sized once per engine. A handle's dist, prevDoor and
+// prevPart are valid only while seen[h] equals the current epoch, and
+// settled and visited are epoch stamps too, so starting a search is one
+// increment: the stamp arrays are cleared only when the epoch wraps.
+type searchState struct {
+	heap     *pqueue.Heap
+	dist     []float64
+	prevDoor []int32
+	prevPart []model.PartitionID
+	seen     []uint32
+	settled  []uint32
+	visited  []uint32 // per partition
+	epoch    uint32
+	touched  int // handles given a distance this search
+
+	goals    []goal
+	goalHead []int32 // per partition: its first goal, -1 for none
+	pending  int     // goals not yet done
+	anchors  []model.DoorID
+	// A skeleton build's sorted entry doors and the chains found so far.
+	entries []model.DoorID
+	chains  []*Skeleton
+}
+
+func newSearchState(v *model.Venue) *searchState {
+	n := v.DoorCount() + 2
+	st := &searchState{
+		heap:     pqueue.New(n),
+		dist:     make([]float64, n),
+		prevDoor: make([]int32, n),
+		prevPart: make([]model.PartitionID, n),
+		seen:     make([]uint32, n),
+		settled:  make([]uint32, n),
+		visited:  make([]uint32, v.PartitionCount()),
+		goalHead: make([]int32, v.PartitionCount()),
+	}
+	for i := range st.goalHead {
+		st.goalHead[i] = -1
+	}
+	return st
+}
+
+// reset starts a new search.
+func (st *searchState) reset() {
+	st.heap.Reset()
+	st.touched = 0
+	if st.epoch++; st.epoch == 0 {
+		clear(st.seen)
+		clear(st.settled)
+		clear(st.visited)
+		st.epoch = 1
+	}
+}
+
+// improve records distance d for handle h, reached through partition w
+// from handle via, and queues h.
+func (st *searchState) improve(h int32, d float64, via int32, w model.PartitionID) {
+	if st.seen[h] != st.epoch {
+		st.seen[h] = st.epoch
+		st.touched++
+	}
+	st.dist[h], st.prevDoor[h], st.prevPart[h] = d, via, w
+	st.heap.Push(h, d)
+}
+
+// chainLen counts the doors on the prev chain from via back to root.
+func (st *searchState) chainLen(via, root int32) int {
+	n := 0
+	for h := via; h != root; h = st.prevDoor[h] {
+		n++
+	}
+	return n
+}
+
+// chain fills doors and parts along the prev chain ending at via, last
+// door first; len(doors) is the chain's length.
+func (st *searchState) chain(via int32, doors []model.DoorID, parts []model.PartitionID) {
+	h := via
+	for i := len(doors) - 1; i >= 0; i-- {
+		doors[i], parts[i] = model.DoorID(h), st.prevPart[h]
+		h = st.prevDoor[h]
+	}
+}
+
+// settleGoals marks the goals the frontier has passed and reports
+// whether none is pending. When the heap minimum reaches a seen goal's
+// distance, no later expansion can strictly improve it (legs are
+// non-negative) — the instant a solo Route would pop its target node.
+func (st *searchState) settleGoals(frontier float64) bool {
+	for i := range st.goals {
+		if gl := &st.goals[i]; !gl.done && gl.seen && frontier >= gl.dist {
+			gl.done = true
+			st.pending--
+		}
+	}
+	return st.pending == 0
+}
+
+// state returns the engine's search state, allocating it on first use.
+func (e *Engine) state() *searchState {
+	if e.st == nil {
+		e.st = newSearchState(e.v)
+	}
+	return e.st
+}
+
+// begin starts a point-rooted search departing at t0: the root handle
+// at distance zero, after — under EagerHeapInit — every door and, with
+// withTarget, the target node at ∞ (Algorithm 1 lines 2–7 literally).
+func (e *Engine) begin(t0 temporal.TimeOfDay, speed float64, withTarget bool) {
+	st := e.state()
+	st.reset()
+	e.checker.Begin(t0, speed)
+	rootH := int32(e.v.DoorCount())
+	if e.opts.EagerHeapInit {
+		inf := math.Inf(1)
+		for d := int32(0); d < rootH; d++ {
+			st.heap.Push(d, inf)
+		}
+		if withTarget {
+			st.heap.Push(rootH+1, inf)
+		}
+	}
+	st.improve(rootH, 0, rootH, model.NoPartition)
+}
+
+// run is the kernel loop. It reports whether the search met its end
+// condition: the target node popped (toTarget) or every goal done
+// (toGoals); otherwise the heap ran out, or held only ∞ entries.
+func (e *Engine) run(s *search, stats *SearchStats) bool {
+	st := e.st
+	rootH := int32(e.v.DoorCount())
+	for {
+		item, ok := st.heap.Pop()
+		if !ok || math.IsInf(item.Prio, 1) {
+			return false
+		}
+		h := item.Key
+		stats.Pops++
+		switch s.targets {
+		case toTarget:
+			if h == rootH+1 {
+				return true
+			}
+		case toGoals:
+			if st.settleGoals(item.Prio) {
+				return true
+			}
+		}
+		if st.settled[h] == st.epoch {
+			continue
+		}
+		st.settled[h] = st.epoch
+		stats.Settled++
+		base := st.dist[h]
+		if h == rootH {
+			e.enter(s, stats, s.rootPart, model.NoDoor, h, base)
+			continue
+		}
+		// The partitions entered by crossing door h out of the one it
+		// was reached through, resolved per arc so one-way doors hold
+		// (Algorithm 1 line 27).
+		from := st.prevPart[h]
+		for _, a := range e.v.Door(model.DoorID(h)).Arcs {
+			near, far := a.From, a.To
+			if s.reverse {
+				near, far = far, near
+			}
+			if near == from {
+				e.enter(s, stats, far, model.DoorID(h), h, base)
+			}
+		}
+	}
+}
+
+// enter handles partition w reached from settled handle h at distance
+// base through anchor (NoDoor at the root): the target policy, then the
+// expansion rules (Algorithm 1 lines 18–24).
+func (e *Engine) enter(s *search, stats *SearchStats, w model.PartitionID, anchor model.DoorID, h int32, base float64) {
+	st := e.st
+	switch s.targets {
+	case toTarget:
+		if w == s.tgtPart {
+			tgtH := int32(e.v.DoorCount()) + 1
+			cand := base + e.pointLeg(s, w, anchor, s.target)
+			if (st.seen[tgtH] != st.epoch || cand < st.dist[tgtH]) && !math.IsInf(cand, 1) {
+				st.improve(tgtH, cand, h, w)
+				stats.Relaxations++
+			}
+		}
+	case toGoals:
+		for i := st.goalHead[w]; i >= 0; i = st.goals[i].next {
+			gl := &st.goals[i]
+			if gl.done {
+				continue
+			}
+			cand := base + e.pointLeg(s, w, anchor, gl.pt)
+			if (!gl.seen || cand < gl.dist) && !math.IsInf(cand, 1) {
+				gl.dist, gl.via, gl.seen = cand, h, true
+				stats.Relaxations++
+			}
+		}
+	case toAnchors:
+		if w == s.tgtPart {
+			st.anchors = append(st.anchors, model.DoorID(h))
+		}
+	}
+	if w == s.tgtPart && (anchor != model.NoDoor || w != s.rootPart) {
+		return
+	}
+	if e.opts.SinglePartitionExpansion && st.visited[w] == st.epoch {
+		return
+	}
+	if w != s.rootPart && w != s.tgtPart && e.v.Partition(w).Kind.IsPrivate() {
+		return // rule 2
+	}
+	if st.visited[w] != st.epoch {
+		st.visited[w] = st.epoch
+		stats.PartitionsVisited++
+	}
+	e.relax(s, stats, w, anchor, h, base)
+}
+
+// pointLeg is the leg inside w between point pt and the anchor, or the
+// root point when the anchor is NoDoor; either way it is measured in
+// the forward direction of the answer.
+func (e *Engine) pointLeg(s *search, w model.PartitionID, anchor model.DoorID, pt geom.Point) float64 {
+	switch {
+	case anchor != model.NoDoor:
+		return e.g.DM().PointToDoor(w, pt, anchor)
+	case s.reverse:
+		return e.g.DM().PointToPoint(w, pt, s.root)
+	}
+	return e.g.DM().PointToPoint(w, s.root, pt)
+}
+
+// relax relaxes every door of w the run may cross next from the anchor
+// (Algorithm 1 lines 25–34). With s.prune, an expansion whose whole
+// arrival window fits one checkpoint slot iterates the snapshot's
+// reduced leave-door list instead, pruning closed doors up front and
+// skipping the per-door check (exactly equivalent: listed doors are
+// open throughout the slot).
+func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, anchor model.DoorID, h int32, base float64) {
+	st := e.st
+	doors, check := e.v.LeaveDoors(w), s.check
+	if s.reverse {
+		doors = e.v.EnterDoors(w)
+	}
+	if s.prune {
+		// Bound the longest possible leg inside w: the largest DM entry
+		// covers door-to-door legs; the rectangle diagonal covers the
+		// root-point legs of the first expansion.
+		maxLeg := e.g.DM().Matrix(w).MaxEntry()
+		if anchor == model.NoDoor {
+			r := e.v.Partition(w).Rect
+			if diag := math.Hypot(r.Width(), r.Height()); diag > maxLeg {
+				maxLeg = diag
+			}
+		}
+		if pruned, exact := e.pruner.PrunedLeaveDoors(w, base, maxLeg); exact {
+			doors, check = pruned, nil
+		}
+	}
+	for _, dj := range doors {
+		hj := int32(dj)
+		if st.settled[hj] == st.epoch || !e.useful(s, dj, w) {
+			continue
+		}
+		var leg float64
+		if anchor == model.NoDoor {
+			leg = e.g.DM().PointToDoor(w, s.root, dj)
+		} else {
+			leg = e.legDist(w, anchor, dj)
+		}
+		if math.IsInf(leg, 1) {
+			continue
+		}
+		distj := base + leg
+		// TV_Check (line 30; see DESIGN.md on the printed polarity).
+		if check != nil && !check.Check(dj, distj) {
+			continue
+		}
+		stats.Relaxations++
+		if st.seen[hj] != st.epoch || distj < st.dist[hj] {
+			st.improve(hj, distj, h, w)
+		}
+	}
+}
+
+// useful is the early privacy prune (line 28): door d of w is worth
+// relaxing only if some partition it leads to from w — leads from, in
+// a reverse run — is public or an endpoint's.
+func (e *Engine) useful(s *search, d model.DoorID, w model.PartitionID) bool {
+	for _, a := range e.v.Door(d).Arcs {
+		near, far := a.From, a.To
+		if s.reverse {
+			near, far = far, near
+		}
+		if near == w && (far == s.rootPart || far == s.tgtPart || !e.v.Partition(far).Kind.IsPrivate()) {
+			return true
+		}
+	}
+	return false
+}
+
+// path builds a forward run's answer from the prev chain ending at via
+// (Algorithm 1 lines 11–17): length is the target node's distance, and
+// each arrival is the search's own distance at that door.
+func (e *Engine) path(src, tgt geom.Point, via int32, tgtPart model.PartitionID, length float64,
+	t0 temporal.TimeOfDay, speed float64) *Path {
+
+	st := e.st
+	n := st.chainLen(via, int32(e.v.DoorCount()))
+	p := &Path{
+		Source:       src,
+		Target:       tgt,
+		Partitions:   make([]model.PartitionID, n+1),
+		Length:       length,
+		Arrivals:     make([]temporal.TimeOfDay, n),
+		ArrivalAtTgt: t0 + temporal.TimeOfDay(length/speed),
+		DepartedAt:   t0,
+	}
+	if n > 0 {
+		p.Doors = make([]model.DoorID, n)
+	}
+	p.Partitions[n] = tgtPart
+	st.chain(via, p.Doors, p.Partitions)
+	for i, d := range p.Doors {
+		p.Arrivals[i] = t0 + temporal.TimeOfDay(st.dist[d]/speed)
+	}
+	return p
+}
+
+// reversePath turns a reverse run's prev chain into a forward Path: the
+// chain from the entry door already reads source → target, and the
+// distances are re-accumulated forward (PathDistances), so every
+// float64 is the one a forward search would have produced even though
+// the reverse run summed in the opposite order.
+func (e *Engine) reversePath(src, tgt geom.Point, via int32, srcPart model.PartitionID,
+	t0 temporal.TimeOfDay, speed float64) *Path {
+
+	st := e.st
+	n := st.chainLen(via, int32(e.v.DoorCount()))
+	p := &Path{Source: src, Target: tgt, Partitions: make([]model.PartitionID, n+1), DepartedAt: t0}
+	p.Partitions[0] = srcPart
+	if n > 0 {
+		p.Doors = make([]model.DoorID, n)
+		for h, i := via, 0; i < n; h, i = st.prevDoor[h], i+1 {
+			p.Doors[i], p.Partitions[i+1] = model.DoorID(h), st.prevPart[h]
+		}
+	}
+	dists := e.PathDistances(p, Query{Source: src})
+	if n == 0 {
+		p.Length = e.g.DM().PointToPoint(srcPart, src, tgt)
+	} else {
+		p.Length = dists[n-1] + e.g.DM().PointToDoor(p.Partitions[n], tgt, p.Doors[n-1])
+	}
+	p.Arrivals = make([]temporal.TimeOfDay, n)
+	for i, d := range dists {
+		p.Arrivals[i] = t0 + temporal.TimeOfDay(d/speed)
+	}
+	p.ArrivalAtTgt = t0 + temporal.TimeOfDay(p.Length/speed)
+	return p
+}

@@ -1,0 +1,117 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"indoorpath/internal/geom"
+	"indoorpath/internal/model"
+)
+
+// foundQuery returns the first query e answers with at least one door,
+// with its endpoint partitions.
+func foundQuery(t testing.TB, e *Engine, qs []Query) (Query, model.PartitionID, model.PartitionID) {
+	for _, q := range qs {
+		if p, _, err := e.Route(q); err == nil && p.Hops() > 0 {
+			sp, _ := e.v.Locate(q.Source)
+			tp, _ := e.v.Locate(q.Target)
+			return q, sp, tp
+		}
+	}
+	t.Fatal("no query answered with a door")
+	return Query{}, 0, 0
+}
+
+// searchAllocs checks the kernel's allocation contract on a warm
+// engine: Route allocates only the returned Path and its three slices,
+// and BuildSkeletonFamily only the family, its chain list and each
+// chain (the Skeleton and its three slices).
+func searchAllocs(t testing.TB, e *Engine, q Query, sp, tp model.PartitionID) {
+	if n := testing.AllocsPerRun(20, func() { _, _, _ = e.Route(q) }); n != 4 {
+		t.Errorf("%s: Route allocates %v times, want 4", e.MethodName(), n)
+	}
+	fam := e.BuildSkeletonFamily(sp, tp, q.At)
+	if fam == nil {
+		t.Fatalf("%s: no skeleton family for a found route", e.MethodName())
+	}
+	want := float64(2 + 4*len(fam.Chains))
+	if n := testing.AllocsPerRun(5, func() { e.BuildSkeletonFamily(sp, tp, q.At) }); n != want {
+		t.Errorf("%s: BuildSkeletonFamily allocates %v times, want %v", e.MethodName(), n, want)
+	}
+}
+
+func TestSearchAllocs(t *testing.T) {
+	g, qs := mallQueries(t, 20)
+	for _, m := range []Method{MethodSyn, MethodAsyn, MethodStatic} {
+		e := NewEngine(g, Options{Method: m})
+		q, sp, tp := foundQuery(t, e, qs)
+		searchAllocs(t, e, q, sp, tp)
+	}
+}
+
+// TestEpochWrapReuse drives one engine through a stamp-epoch wrap with
+// the stamps of epochs 1..3 left behind by the same queries it then
+// repeats, interleaving every kernel caller; each result must equal a
+// fresh engine's.
+func TestEpochWrapReuse(t *testing.T) {
+	g, qs := mallQueries(t, 12)
+	g.Snapshots().BuildAll() // fresh engines must not differ in snapshot builds
+	v := g.Venue()
+	for _, m := range []Method{MethodSyn, MethodAsyn, MethodStatic} {
+		opts := Options{Method: m}
+		e := NewEngine(g, opts)
+		for _, q := range qs[:3] { // leave stamps of epochs 1..3 behind
+			_, _, _ = e.Route(q)
+		}
+		e.st.epoch = math.MaxUint32 // the next search wraps to epoch 1
+		same := func(what string, got, want any) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v %s after the epoch wrap differs from a fresh engine's", m, what)
+			}
+		}
+		for i, q := range qs {
+			p, st, err := e.Route(q)
+			fp, fst, ferr := NewEngine(g, opts).Route(q)
+			same("Route", []any{p, st, err}, []any{fp, fst, ferr})
+
+			tgts := []geom.Point{q.Target, qs[(i+1)%len(qs)].Target, q.Source}
+			same("RouteMany", e.RouteMany(q.Source, tgts, q.At, q.Speed),
+				NewEngine(g, opts).RouteMany(q.Source, tgts, q.At, q.Speed))
+			srcs := []geom.Point{q.Source, qs[(i+2)%len(qs)].Source}
+			same("RouteManyTo", e.RouteManyTo(srcs, q.Target, q.At, q.Speed),
+				NewEngine(g, opts).RouteManyTo(srcs, q.Target, q.At, q.Speed))
+
+			sp, _ := v.Locate(q.Source)
+			tp, _ := v.Locate(q.Target)
+			same("BuildSkeletonFamily", e.BuildSkeletonFamily(sp, tp, q.At),
+				NewEngine(g, opts).BuildSkeletonFamily(sp, tp, q.At))
+		}
+		if e.st.epoch > 1000 {
+			t.Fatalf("%v: epoch %d, the wrap did not happen", m, e.st.epoch)
+		}
+	}
+}
+
+// BenchmarkEngineSearch times one Route plus one skeleton-family build
+// per op on the mall preset, the work an uncached answer costs. It
+// self-checks the allocation contract of the search kernel first (see
+// searchAllocs), so a regression fails the bench run.
+func BenchmarkEngineSearch(b *testing.B) {
+	g, qs := mallQueries(b, 20)
+	g.Snapshots().BuildAll()
+	for _, m := range []Method{MethodSyn, MethodAsyn, MethodStatic} {
+		b.Run(m.String(), func(b *testing.B) {
+			e := NewEngine(g, Options{Method: m})
+			q, sp, tp := foundQuery(b, e, qs)
+			searchAllocs(b, e, q, sp, tp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, _ = e.Route(q)
+				e.BuildSkeletonFamily(sp, tp, q.At)
+			}
+		})
+	}
+}

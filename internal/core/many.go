@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"indoorpath/internal/geom"
 	"indoorpath/internal/model"
@@ -57,13 +56,6 @@ type ManyOutcome struct {
 	Solo bool
 }
 
-// sharedTarget pairs a grouped target with its located partition.
-type sharedTarget struct {
-	idx  int
-	pt   geom.Point
-	part model.PartitionID
-}
-
 // RouteMany answers ITSPQ(src, targets[j], at) for every target with at
 // most one shared forward search plus per-target fallbacks (see
 // ManyOutcome.Solo). Outcomes align positionally with targets, each
@@ -80,7 +72,8 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 		}
 		return out
 	}
-	var shared []sharedTarget
+	st := e.state()
+	st.goals = st.goals[:0]
 	var solo []int
 	for j, pt := range targets {
 		part, located := e.v.Locate(pt)
@@ -95,11 +88,21 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 			// Both go to byte-identical-by-construction solo searches.
 			solo = append(solo, j)
 		default:
-			shared = append(shared, sharedTarget{idx: j, pt: pt, part: part})
+			st.goals = append(st.goals, goal{idx: j, pt: pt, part: part})
 		}
 	}
-	if len(shared) > 0 {
-		e.routeShared(src, srcPart, shared, at, speed, out)
+	if len(st.goals) > 0 {
+		// The one shared forward search: Route with the per-target
+		// special cases hoisted out of the expansion. Each target keeps
+		// a goal entry instead of a virtual node in the heap, and the
+		// run expands through grouped target partitions (tgtPart is
+		// NoPartition): under the convex-cell model a shortest route
+		// never leaves and re-enters its target's partition, so every
+		// per-target prev chain is the one the pruned solo search
+		// builds. Rule 2 needs no per-target exemption: grouped target
+		// partitions are never private.
+		e.runShared(&search{targets: toGoals, root: src, rootPart: srcPart, tgtPart: model.NoPartition,
+			check: e.checker, prune: e.pruner != nil}, at, speed, out)
 	}
 	for _, j := range solo {
 		p, st, err := e.Route(Query{Source: src, Target: targets[j], At: at, Speed: speed})
@@ -108,188 +111,46 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 	return out
 }
 
-// bestEntry tracks one grouped query's answer candidate during a shared
-// run, updated with exactly Route's virtual-target relaxation rule
-// (strict improvement only, anchors in settle order).
-type bestEntry struct {
-	dist float64
-	via  int32 // settled handle whose expansion set the entry
-	seen bool
-	done bool // frontier passed dist: the entry can no longer improve
-}
-
-// settleBests marks entries the frontier has passed. When the heap
-// minimum reaches a seen entry's distance, no future expansion can
-// strictly improve it (legs are non-negative) — exactly the moment a
-// solo Route would pop its virtual target node and stop.
-func settleBests(bests []bestEntry, frontier float64, pending int) int {
-	for i := range bests {
-		if !bests[i].done && bests[i].seen && frontier >= bests[i].dist {
-			bests[i].done = true
-			pending--
-		}
-	}
-	return pending
-}
-
-// routeShared is the one shared forward search of RouteMany: Algorithm
-// 1 with the per-target special cases hoisted out of the expansion.
-// Differences from Route, and why they preserve per-target answers:
-//
-//   - there are no virtual target nodes in the heap; each target keeps
-//     a bestEntry updated by the same relaxation rule in the same
-//     anchor-settle order, and is finalised when the frontier passes
-//     its distance — the exact instant Route would pop its target node;
-//   - expansion continues through grouped target partitions
-//     ("settled-partition expansion"). Under the convex-cell model a
-//     shortest route can never leave and re-enter the target's own
-//     partition (entering it once and walking straight to the target is
-//     strictly shorter), so the prev chains along every per-target
-//     answer are the ones the pruned solo search builds;
-//   - rule 2 needs no per-target exemption: grouped target partitions
-//     are never private (RouteMany routes those solo).
-func (e *Engine) routeShared(src geom.Point, srcPart model.PartitionID, ts []sharedTarget,
-	at temporal.TimeOfDay, speed float64, out []ManyOutcome) {
-
+// runShared runs the one shared search of RouteMany or RouteManyTo
+// over the goals in the engine state and writes each goal's outcome:
+// every outcome carries the run's stats, with Found, PathHops and
+// PathLength set per goal.
+func (e *Engine) runShared(s *search, at temporal.TimeOfDay, speed float64, out []ManyOutcome) {
 	t0 := at.Mod()
 	if speed <= 0 {
 		speed = WalkingSpeedMPS
 	}
 	run := SearchStats{Method: e.checker.Name()}
-	e.reset()
-	e.checker.Begin(t0, speed)
-
-	srcH := int32(e.v.DoorCount())
-	inf := math.Inf(1)
-	if e.opts.EagerHeapInit {
-		for d := 0; d < e.v.DoorCount(); d++ {
-			e.st.heap.Push(int32(d), inf)
-		}
+	e.begin(t0, speed, false)
+	st := e.st
+	// Link each partition's goals in ascending order.
+	for i := len(st.goals) - 1; i >= 0; i-- {
+		gl := &st.goals[i]
+		gl.next, st.goalHead[gl.part] = st.goalHead[gl.part], int32(i)
 	}
-	e.st.dist[srcH] = 0
-	e.st.heap.Push(srcH, 0)
-
-	bests := make([]bestEntry, len(ts))
-	byPart := make(map[model.PartitionID][]int, len(ts))
-	for i, tg := range ts {
-		byPart[tg.part] = append(byPart[tg.part], i)
-	}
-	pending := len(ts)
-
-	q := Query{Source: src} // expand reads only the source point
-
-	for pending > 0 {
-		item, ok := e.st.heap.Pop()
-		if !ok || math.IsInf(item.Prio, 1) {
-			break // heap exhausted: unseen targets have no route
-		}
-		h := item.Key
-		run.Pops++
-		if pending = settleBests(bests, item.Prio, pending); pending == 0 {
-			break
-		}
-		if e.st.settled[h] {
-			continue
-		}
-		e.st.settled[h] = true
-		run.Settled++
-		baseDist := e.st.dist[h]
-
-		var anchor model.DoorID = model.NoDoor
-		var nexts []model.PartitionID
-		if h == srcH {
-			nexts = []model.PartitionID{srcPart}
-		} else {
-			anchor = model.DoorID(h)
-			nexts = e.v.NextPartitions(anchor, e.st.prevPart[h])
-		}
-		for _, w := range nexts {
-			// Route's target relaxation (Algorithm 1 lines 20–24), once
-			// per grouped target located in this partition.
-			for _, i := range byPart[w] {
-				b := &bests[i]
-				if b.done {
-					continue
-				}
-				var cand float64
-				if anchor == model.NoDoor {
-					cand = baseDist + e.g.DM().PointToPoint(w, src, ts[i].pt)
-				} else {
-					cand = baseDist + e.g.DM().PointToDoor(w, ts[i].pt, anchor)
-				}
-				if (!b.seen || cand < b.dist) && !math.IsInf(cand, 1) {
-					b.dist = cand
-					b.via = h
-					b.seen = true
-					run.Relaxations++
-				}
-			}
-			if w != srcPart && e.v.Partition(w).Kind.IsPrivate() {
-				continue // rule 2 (grouped target partitions are never private)
-			}
-			if !e.st.visited[w] {
-				e.st.visited[w] = true
-				run.PartitionsVisited++
-			}
-			// NoPartition disables expand's target-partition exemption:
-			// it is not needed here (no grouped target is private).
-			e.expand(q, w, anchor, h, baseDist, &run, srcPart, model.NoPartition)
-		}
-	}
-
+	st.pending = len(st.goals)
+	e.run(s, &run)
 	e.finishStats(&run)
-	for i, tg := range ts {
-		b := bests[i]
-		st := run
-		if !b.seen {
-			out[tg.idx] = ManyOutcome{Stats: st, Err: ErrNoRoute}
+	for _, gl := range st.goals {
+		st.goalHead[gl.part] = -1
+	}
+	for _, gl := range st.goals {
+		if !gl.seen {
+			out[gl.idx] = ManyOutcome{Stats: run, Err: ErrNoRoute}
 			continue
 		}
-		p := e.reconstructEntry(src, tg.pt, b.via, srcH, tg.part, b.dist, t0, speed)
-		st.Found = true
-		st.PathHops = p.Hops()
-		st.PathLength = p.Length
-		out[tg.idx] = ManyOutcome{Path: p, Stats: st}
+		var p *Path
+		if s.reverse {
+			p = e.reversePath(gl.pt, s.root, gl.via, gl.part, t0, speed)
+		} else {
+			p = e.path(s.root, gl.pt, gl.via, gl.part, gl.dist, t0, speed)
+		}
+		stats := run
+		stats.Found = true
+		stats.PathHops = p.Hops()
+		stats.PathLength = p.Length
+		out[gl.idx] = ManyOutcome{Path: p, Stats: stats}
 	}
-}
-
-// reconstructEntry is Route's reconstruct rooted at a bestEntry: via is
-// what prevDoor[tgtH] would have been, dist the target-node distance.
-func (e *Engine) reconstructEntry(src, tgt geom.Point, via, srcH int32, tgtPart model.PartitionID,
-	length float64, t0 temporal.TimeOfDay, speed float64) *Path {
-
-	var doors []model.DoorID
-	var parts []model.PartitionID
-	for h := via; h != srcH; h = e.st.prevDoor[h] {
-		doors = append(doors, model.DoorID(h))
-		parts = append(parts, e.st.prevPart[h])
-	}
-	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
-		doors[i], doors[j] = doors[j], doors[i]
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	parts = append(parts, tgtPart)
-	arrivals := make([]temporal.TimeOfDay, len(doors))
-	for i, d := range doors {
-		arrivals[i] = t0 + temporal.TimeOfDay(e.st.dist[int32(d)]/speed)
-	}
-	return &Path{
-		Source:       src,
-		Target:       tgt,
-		Doors:        doors,
-		Partitions:   parts,
-		Length:       length,
-		Arrivals:     arrivals,
-		ArrivalAtTgt: t0 + temporal.TimeOfDay(length/speed),
-		DepartedAt:   t0,
-	}
-}
-
-// sharedSource pairs a grouped source with its located partition.
-type sharedSource struct {
-	idx  int
-	pt   geom.Point
-	part model.PartitionID
 }
 
 // RouteManyTo answers ITSPQ(sources[j], tgt, at) for every source.
@@ -305,7 +166,8 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 	out := make([]ManyOutcome, len(sources))
 	name := e.checker.Name()
 	tgtPart, tok := e.v.Locate(tgt)
-	var shared []sharedSource
+	st := e.state()
+	st.goals = st.goals[:0]
 	var solo []int
 	for j, pt := range sources {
 		part, located := e.v.Locate(pt)
@@ -322,230 +184,27 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 			(e.v.Partition(part).Kind.IsPrivate() && part != tgtPart):
 			solo = append(solo, j)
 		default:
-			shared = append(shared, sharedSource{idx: j, pt: pt, part: part})
+			st.goals = append(st.goals, goal{idx: j, pt: pt, part: part})
 		}
 	}
-	if len(shared) > 0 {
-		e.routeSharedReverse(tgt, tgtPart, shared, at, speed, out)
+	if len(st.goals) > 0 {
+		// The one reverse run: a Dijkstra over the arc-reversed door
+		// graph, rooted inside the target's partition, mirroring Route
+		// arc for arc. The target's partition is expanded only from the
+		// root (Route never expands through its target partition); rule
+		// 2 exempts it, and grouped source partitions are never private;
+		// reverse-entering a grouped source's partition sets that
+		// source's candidate, the mirror image of Route's first
+		// expansion out of the source partition. No door is checked:
+		// only the static method shares a reverse run.
+		e.runShared(&search{targets: toGoals, reverse: true, root: tgt, rootPart: tgtPart, tgtPart: tgtPart},
+			at, speed, out)
 	}
 	for _, j := range solo {
 		p, st, err := e.Route(Query{Source: sources[j], Target: tgt, At: at, Speed: speed})
 		out[j] = ManyOutcome{Path: p, Stats: st, Err: err, Solo: true}
 	}
 	return out
-}
-
-// routeSharedReverse is the one reverse (destination-rooted) run of
-// RouteManyTo: a Dijkstra over the arc-reversed door graph, starting
-// inside the target's partition and reverse-crossing doors against
-// their permitted direction (model.Venue.PrevPartitions), mirroring
-// Route's rules arc for arc:
-//
-//   - the target's partition is expanded only from the root (Route
-//     never expands through its target partition);
-//   - rule 2 keeps private partitions out, with the target's partition
-//     exempt; grouped source partitions are never private;
-//   - reverse-entering a grouped source's partition sets that source's
-//     terminal candidate — the mirror image of Route's first expansion
-//     out of the source partition.
-//
-// Reconstruction replays every leg forward (source → target, the same
-// float64 operations in the same order as a forward search), so
-// lengths, distances and arrivals are bit-identical to solo answers
-// even though the reverse run accumulated its sums in the opposite
-// order.
-func (e *Engine) routeSharedReverse(tgt geom.Point, tgtPart model.PartitionID, ss []sharedSource,
-	at temporal.TimeOfDay, speed float64, out []ManyOutcome) {
-
-	t0 := at.Mod()
-	if speed <= 0 {
-		speed = WalkingSpeedMPS
-	}
-	run := SearchStats{Method: e.checker.Name()}
-	e.reset()
-	e.checker.Begin(t0, speed)
-
-	tgtH := int32(e.v.DoorCount())
-	if e.opts.EagerHeapInit {
-		// Mirror routeShared (and Route): the ablation enheaps every
-		// door at ∞ up front in reverse runs too.
-		inf := math.Inf(1)
-		for d := 0; d < e.v.DoorCount(); d++ {
-			e.st.heap.Push(int32(d), inf)
-		}
-	}
-	e.st.dist[tgtH] = 0
-	e.st.heap.Push(tgtH, 0)
-
-	bests := make([]bestEntry, len(ss))
-	byPart := make(map[model.PartitionID][]int, len(ss))
-	for i, s := range ss {
-		byPart[s.part] = append(byPart[s.part], i)
-	}
-	pending := len(ss)
-
-	for pending > 0 {
-		item, ok := e.st.heap.Pop()
-		if !ok || math.IsInf(item.Prio, 1) {
-			break
-		}
-		h := item.Key
-		run.Pops++
-		if pending = settleBests(bests, item.Prio, pending); pending == 0 {
-			break
-		}
-		if e.st.settled[h] {
-			continue
-		}
-		e.st.settled[h] = true
-		run.Settled++
-		baseDist := e.st.dist[h]
-
-		var anchor model.DoorID = model.NoDoor
-		var prevs []model.PartitionID
-		if h == tgtH {
-			prevs = []model.PartitionID{tgtPart}
-		} else {
-			anchor = model.DoorID(h)
-			prevs = e.v.PrevPartitions(anchor, e.st.prevPart[h])
-		}
-		for _, w := range prevs {
-			for _, i := range byPart[w] {
-				b := &bests[i]
-				if b.done {
-					continue
-				}
-				var cand float64
-				if anchor == model.NoDoor {
-					cand = baseDist + e.g.DM().PointToPoint(w, ss[i].pt, tgt)
-				} else {
-					cand = baseDist + e.g.DM().PointToDoor(w, ss[i].pt, anchor)
-				}
-				if (!b.seen || cand < b.dist) && !math.IsInf(cand, 1) {
-					b.dist = cand
-					b.via = h
-					b.seen = true
-					run.Relaxations++
-				}
-			}
-			if w == tgtPart && anchor != model.NoDoor {
-				continue // the target partition is expanded only from the root
-			}
-			if w != tgtPart && e.v.Partition(w).Kind.IsPrivate() {
-				continue // rule 2 (grouped source partitions are never private)
-			}
-			if !e.st.visited[w] {
-				e.st.visited[w] = true
-				run.PartitionsVisited++
-			}
-			e.expandReverse(tgt, tgtPart, w, anchor, h, baseDist, &run)
-		}
-	}
-
-	e.finishStats(&run)
-	for i, s := range ss {
-		b := bests[i]
-		st := run
-		if !b.seen {
-			out[s.idx] = ManyOutcome{Stats: st, Err: ErrNoRoute}
-			continue
-		}
-		p := e.reconstructReverse(s.pt, tgt, b.via, tgtH, s.part, t0, speed)
-		st.Found = true
-		st.PathHops = p.Hops()
-		st.PathLength = p.Length
-		out[s.idx] = ManyOutcome{Path: p, Stats: st}
-	}
-}
-
-// expandReverse relaxes every forward-enterable door of partition w
-// from the reverse anchor — the mirror image of expand over the
-// arc-reversed graph, static method only (no TV_Check).
-func (e *Engine) expandReverse(tgt geom.Point, tgtPart, w model.PartitionID, anchor model.DoorID, h int32,
-	baseDist float64, stats *SearchStats) {
-
-	for _, dj := range e.v.EnterDoors(w) {
-		hj := int32(dj)
-		if e.st.settled[hj] {
-			continue
-		}
-		// Mirror of expand's privacy prune: a door approachable only
-		// from private partitions (other than the target's) cannot lie
-		// on any grouped answer — grouped source partitions are public.
-		useful := false
-		for _, prv := range e.v.PrevPartitions(dj, w) {
-			if prv == tgtPart || !e.v.Partition(prv).Kind.IsPrivate() {
-				useful = true
-				break
-			}
-		}
-		if !useful {
-			continue
-		}
-		var leg float64
-		if anchor == model.NoDoor {
-			leg = e.g.DM().PointToDoor(w, tgt, dj)
-		} else {
-			leg = e.legDist(w, anchor, dj)
-		}
-		if math.IsInf(leg, 1) {
-			continue
-		}
-		distj := baseDist + leg
-		stats.Relaxations++
-		if old, seen := e.st.dist[hj]; !seen || distj < old {
-			e.st.dist[hj] = distj
-			e.st.prevDoor[hj] = h
-			e.st.prevPart[hj] = w
-			e.st.heap.Push(hj, distj)
-		}
-	}
-}
-
-// reconstructReverse turns one reverse prev chain into a forward Path:
-// the chain from the entry door already reads source → target, and the
-// cumulative distances are re-accumulated forward so every float64 is
-// the one a forward search would have produced.
-func (e *Engine) reconstructReverse(src, tgt geom.Point, via, tgtH int32, srcPart model.PartitionID,
-	t0 temporal.TimeOfDay, speed float64) *Path {
-
-	var doors []model.DoorID
-	var parts []model.PartitionID
-	for h := via; h != tgtH; h = e.st.prevDoor[h] {
-		doors = append(doors, model.DoorID(h))
-		parts = append(parts, e.st.prevPart[h])
-	}
-	fullParts := make([]model.PartitionID, 0, len(doors)+1)
-	fullParts = append(fullParts, srcPart)
-	fullParts = append(fullParts, parts...)
-
-	var length float64
-	dists := make([]float64, len(doors))
-	if len(doors) == 0 {
-		length = e.g.DM().PointToPoint(srcPart, src, tgt)
-	} else {
-		d := e.g.DM().PointToDoor(fullParts[0], src, doors[0])
-		dists[0] = d
-		for i := 1; i < len(doors); i++ {
-			d += e.legDist(fullParts[i], doors[i-1], doors[i])
-			dists[i] = d
-		}
-		length = d + e.g.DM().PointToDoor(fullParts[len(doors)], tgt, doors[len(doors)-1])
-	}
-	arrivals := make([]temporal.TimeOfDay, len(doors))
-	for i := range doors {
-		arrivals[i] = t0 + temporal.TimeOfDay(dists[i]/speed)
-	}
-	return &Path{
-		Source:       src,
-		Target:       tgt,
-		Doors:        doors,
-		Partitions:   fullParts,
-		Length:       length,
-		Arrivals:     arrivals,
-		ArrivalAtTgt: t0 + temporal.TimeOfDay(length/speed),
-		DepartedAt:   t0,
-	}
 }
 
 // RebaseDeparture restates a found answer for query q's own departure:

@@ -107,6 +107,7 @@ func (p *Path) Validate(g *itgraph.Graph, q Query) error {
 		return fmt.Errorf("core: target partition %d does not cover target", tgtPart)
 	}
 	speed := q.speed()
+	t0 := q.At.Mod() // the departure Route answers for
 
 	// Walk the path accumulating distance.
 	dist := 0.0
@@ -130,7 +131,7 @@ func (p *Path) Validate(g *itgraph.Graph, q Query) error {
 		}
 		// Rule 1: door open at arrival (waiting paths arrive later).
 		arr := p.Arrivals[i]
-		walkArr := q.At + temporal.TimeOfDay(dist/speed)
+		walkArr := t0 + temporal.TimeOfDay(dist/speed)
 		if p.TotalWait == 0 {
 			if diff := float64(arr - walkArr); diff > 1e-6 || diff < -1e-6 {
 				return fmt.Errorf("core: hop %d arrival %v inconsistent with distance (want %v)", i, arr, walkArr)

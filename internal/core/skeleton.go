@@ -2,12 +2,11 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
-	"indoorpath/internal/pqueue"
 	"indoorpath/internal/temporal"
 )
 
@@ -67,154 +66,75 @@ type SkeletonFamily struct {
 
 // BuildSkeletonFamily computes the (srcPart, tgtPart) family for the
 // checkpoint slot containing at (the whole day for MethodStatic). It
-// runs one frozen-topology Dijkstra per usable entry door of srcPart,
-// mirroring Route's semantics exactly — prevPart-threaded
-// NextPartitions, the privacy rule with srcPart/tgtPart exempt, no
-// expansion through the target partition, the engine's own leg
+// runs one frozen-topology search per usable entry door of srcPart,
+// ascending by door ID, each seeded at the door entered from srcPart at
+// distance zero and run to exhaustion: the best anchor for a concrete
+// query depends on its target point, so every anchor's chain is kept.
+// The searches are the kernel's, so they mirror Route exactly —
+// prevPart-threaded arcs, the privacy rule with srcPart/tgtPart exempt,
+// no expansion through the target partition, the engine's own leg
 // arithmetic — with every TV_Check replaced by the door's constant
 // openness over the slot. It returns nil when no family can be built:
 // same partition pair (the direct point-to-point candidate is not
-// expressible door-to-door), the SinglePartitionExpansion ablation
-// (its visited-partition gate makes per-entry-door decomposition
-// unsound), or no open entry door reaches the target partition.
+// expressible door-to-door), the SinglePartitionExpansion ablation (its
+// visited-partition gate makes per-entry-door decomposition unsound),
+// or no open entry door reaches the target partition.
 //
 // The caller must hold the engine exclusively (the usual checked-out
-// discipline); the build reuses no Route state and leaves the engine
-// ready for further searches.
+// discipline). The build runs on the engine's search state, so it
+// allocates only the family and its chains; the engine stays ready
+// for further searches.
 func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temporal.TimeOfDay) *SkeletonFamily {
 	if srcPart == tgtPart || e.opts.SinglePartitionExpansion {
 		return nil
 	}
-	fam := &SkeletonFamily{Src: srcPart, Tgt: tgtPart, Slot: SkeletonStaticSlot,
-		Window: temporal.Interval{Open: 0, Close: temporal.DaySeconds}}
-	open := func(model.DoorID) bool { return true }
+	slot, window := SkeletonStaticSlot, temporal.Interval{Open: 0, Close: temporal.DaySeconds}
+	s := search{targets: toAnchors, rootPart: srcPart, tgtPart: tgtPart}
 	if e.opts.Method != MethodStatic {
 		cps := e.g.Checkpoints()
-		slot := cps.SlotOf(at.Mod())
-		start := cps.SlotStart(slot)
-		fam.Slot = slot
-		fam.Window = temporal.Interval{Open: start, Close: cps.SlotEnd(slot)}
-		// Within a slot every door's state is constant (checkpoints are
-		// exactly the instants any ATI opens or closes), so openness at
-		// the slot start is openness throughout.
-		open = func(d model.DoorID) bool { return e.v.Door(d).OpenAt(start) }
+		slot = cps.SlotOf(at.Mod())
+		window = temporal.Interval{Open: cps.SlotStart(slot), Close: cps.SlotEnd(slot)}
+		e.frozen = slotOpen{v: e.v, start: window.Open}
+		s.check = &e.frozen
 	}
-
-	entries := append([]model.DoorID(nil), e.v.LeaveDoors(srcPart)...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
-	for _, a := range entries {
-		if !open(a) || !e.usefulDoor(a, srcPart, srcPart, tgtPart) {
+	st := e.state()
+	rootH := int32(e.v.DoorCount())
+	var stats SearchStats // a build reports no counters
+	st.entries = append(st.entries[:0], e.v.LeaveDoors(srcPart)...)
+	slices.Sort(st.entries)
+	for _, a := range st.entries {
+		if (s.check != nil && !s.check.Check(a, 0)) || !e.useful(&s, a, srcPart) {
 			continue
 		}
-		e.appendEntryChains(fam, a, srcPart, tgtPart, open)
+		st.reset()
+		st.anchors = st.anchors[:0]
+		st.improve(int32(a), 0, rootH, srcPart)
+		e.run(&s, &stats)
+		slices.Sort(st.anchors)
+		for _, b := range st.anchors {
+			n := st.chainLen(int32(b), rootH)
+			sk := &Skeleton{
+				Entry:      a,
+				Anchor:     b,
+				Doors:      make([]model.DoorID, n),
+				Partitions: make([]model.PartitionID, n+1),
+				Legs:       make([]float64, n),
+			}
+			sk.Partitions[n] = tgtPart
+			st.chain(int32(b), sk.Doors, sk.Partitions)
+			for i := 1; i < n; i++ {
+				sk.Legs[i] = e.legDist(sk.Partitions[i], sk.Doors[i-1], sk.Doors[i])
+			}
+			st.chains = append(st.chains, sk)
+		}
 	}
-	if len(fam.Chains) == 0 {
+	if len(st.chains) == 0 {
 		return nil
 	}
+	fam := &SkeletonFamily{Src: srcPart, Tgt: tgtPart, Slot: slot, Window: window, Chains: slices.Clone(st.chains)}
+	clear(st.chains) // drop the state's references to the returned chains
+	st.chains = st.chains[:0]
 	return fam
-}
-
-// usefulDoor mirrors expand's early privacy prune: a door of w is worth
-// relaxing only if some partition it leads to from w is the source's,
-// the target's, or public.
-func (e *Engine) usefulDoor(d model.DoorID, w, srcPart, tgtPart model.PartitionID) bool {
-	for _, nxt := range e.v.NextPartitions(d, w) {
-		if nxt == srcPart || nxt == tgtPart || !e.v.Partition(nxt).Kind.IsPrivate() {
-			return true
-		}
-	}
-	return false
-}
-
-// appendEntryChains runs the frozen-topology Dijkstra seeded at entry
-// door a (entered from srcPart at distance zero) and appends one chain
-// per reachable anchor door of tgtPart. Run to exhaustion: the best
-// anchor for a concrete query depends on its target point, so every
-// anchor's chain is kept.
-func (e *Engine) appendEntryChains(fam *SkeletonFamily, a model.DoorID, srcPart, tgtPart model.PartitionID,
-	open func(model.DoorID) bool) {
-
-	heap := pqueue.New(64)
-	dist := map[model.DoorID]float64{a: 0}
-	prevDoor := map[model.DoorID]model.DoorID{}
-	prevPart := map[model.DoorID]model.PartitionID{a: srcPart}
-	settled := map[model.DoorID]bool{}
-	var anchors []model.DoorID
-
-	heap.Push(int32(a), 0)
-	for {
-		item, ok := heap.Pop()
-		if !ok {
-			break
-		}
-		h := model.DoorID(item.Key)
-		if settled[h] {
-			continue
-		}
-		settled[h] = true
-		baseDist := dist[h]
-		for _, w := range e.v.NextPartitions(h, prevPart[h]) {
-			if w == tgtPart {
-				// h is an anchor: the last door of a chain. Mirror Route's
-				// target relaxation (dist[h] is final once settled) and its
-				// no-through-expansion prune — the answer never transits
-				// the target partition.
-				anchors = append(anchors, h)
-				continue
-			}
-			if w != srcPart && e.v.Partition(w).Kind.IsPrivate() {
-				continue // rule 2, endpoints exempt
-			}
-			for _, dj := range e.v.LeaveDoors(w) {
-				if settled[dj] || !e.usefulDoor(dj, w, srcPart, tgtPart) {
-					continue
-				}
-				leg := e.legDist(w, h, dj)
-				if math.IsInf(leg, 1) {
-					continue
-				}
-				distj := baseDist + leg
-				if !open(dj) {
-					continue // the frozen TV_Check
-				}
-				if old, seen := dist[dj]; !seen || distj < old {
-					dist[dj] = distj
-					prevDoor[dj] = h
-					prevPart[dj] = w
-					heap.Push(int32(dj), distj)
-				}
-			}
-		}
-	}
-
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-	for _, b := range anchors {
-		n := 1
-		for d := b; d != a; d = prevDoor[d] {
-			n++
-		}
-		sk := &Skeleton{
-			Entry:      a,
-			Anchor:     b,
-			Doors:      make([]model.DoorID, n),
-			Partitions: make([]model.PartitionID, n+1),
-			Legs:       make([]float64, n),
-		}
-		sk.Partitions[n] = fam.Tgt
-		i := n - 1
-		for d := b; ; d = prevDoor[d] {
-			sk.Doors[i] = d
-			sk.Partitions[i] = prevPart[d]
-			if d == a {
-				break
-			}
-			i--
-		}
-		for i := 1; i < n; i++ {
-			sk.Legs[i] = e.legDist(sk.Partitions[i], sk.Doors[i-1], sk.Doors[i])
-		}
-		fam.Chains = append(fam.Chains, sk)
-	}
 }
 
 // ComposeSkeletonPath stitches first-leg + chain + last-leg for a

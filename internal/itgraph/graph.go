@@ -42,6 +42,24 @@ func New(v *model.Venue) (*Graph, error) {
 	return g, nil
 }
 
+// WithSchedules returns the graph of the venue with the listed doors'
+// schedules replaced (model.Venue.WithSchedules; nil means always
+// open). It recomputes the checkpoints and starts a fresh snapshot
+// series, but shares the distance matrices: they depend only on
+// partitions, door positions and distance overrides, and a schedule
+// change alters none of them (the shared set reads door positions
+// from the receiver's venue, which are the same). The receiver is
+// unchanged.
+func (g *Graph) WithSchedules(updates map[model.DoorID]temporal.Schedule) (*Graph, error) {
+	v, err := g.venue.WithSchedules(updates)
+	if err != nil {
+		return nil, err
+	}
+	out := &Graph{venue: v, dm: g.dm, cps: v.Checkpoints()}
+	out.snaps = newSnapshotSeries(out)
+	return out, nil
+}
+
 // MustNew is New that panics on error, for tests and examples.
 func MustNew(v *model.Venue) *Graph {
 	g, err := New(v)

@@ -3,6 +3,7 @@ package itgraph
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,6 +69,43 @@ func TestGraphConstruction(t *testing.T) {
 	}
 	if len(g.Edges()) != 7 {
 		t.Errorf("Edges() = %d", len(g.Edges()))
+	}
+}
+
+// TestWithSchedulesSharesMatrices checks the schedule-swap path: the
+// swapped graph carries the new schedules and checkpoints, a fresh
+// snapshot series, and distance matrices shared with the original yet
+// equal, matrix for matrix, to those of a fresh New over the same venue.
+func TestWithSchedulesSharesMatrices(t *testing.T) {
+	g := MustNew(smallVenue(t))
+	g.Snapshots().BuildAll()
+	d1, _ := g.Venue().DoorByName("d1")
+	d2, _ := g.Venue().DoorByName("d2")
+	g2, err := g.WithSchedules(map[model.DoorID]temporal.Schedule{d1: {}, d2: sched("9:00", "17:00")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := MustNew(g2.Venue())
+	if g2.DM() != g.DM() {
+		t.Error("distance matrices rebuilt, want shared")
+	}
+	for p := 0; p < g2.Venue().PartitionCount(); p++ {
+		pid := model.PartitionID(p)
+		if !reflect.DeepEqual(g2.DM().Matrix(pid), fresh.DM().Matrix(pid)) {
+			t.Errorf("partition %d: shared matrix differs from a fresh build", p)
+		}
+	}
+	if !reflect.DeepEqual(g2.Checkpoints().Times(), fresh.Checkpoints().Times()) {
+		t.Errorf("checkpoints = %v, want %v", g2.Checkpoints().Times(), fresh.Checkpoints().Times())
+	}
+	if g2.Snapshots().Builds() != 0 {
+		t.Errorf("swapped graph starts with %d snapshot builds, want 0", g2.Snapshots().Builds())
+	}
+	if g2.Venue().Door(d1).OpenAt(temporal.MustParse("12:00")) || !g.Venue().Door(d1).OpenAt(temporal.MustParse("12:00")) {
+		t.Error("d1 schedule: want closed in the swapped graph only")
+	}
+	if _, err := g.WithSchedules(map[model.DoorID]temporal.Schedule{99: nil}); err == nil {
+		t.Error("unknown door accepted")
 	}
 }
 

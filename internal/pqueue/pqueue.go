@@ -3,8 +3,9 @@
 // needs decrease-key when a shorter path to an already-enqueued door is
 // found).
 //
-// Keys are int32 handles (door IDs plus the two sentinel handles for the
-// query's source and target points); priorities are float64 distances.
+// Keys are non-negative int32 handles (door IDs plus the two sentinel
+// handles for the query's source and target points); priorities are
+// float64 distances.
 package pqueue
 
 // Item is one heap entry.
@@ -18,7 +19,9 @@ type Item struct {
 // (both decrease and increase are supported).
 type Heap struct {
 	items []Item
-	pos   map[int32]int // key -> index in items
+	// pos[key] is the key's index in items plus one; 0 means not queued.
+	// It grows on demand, so keys beyond the capacity hint are fine.
+	pos []int32
 	// maxLen tracks the high-water mark of the heap, reported to the
 	// experiment harness as part of the search memory footprint.
 	maxLen int
@@ -29,7 +32,7 @@ func New(n int) *Heap {
 	if n < 0 {
 		n = 0
 	}
-	return &Heap{items: make([]Item, 0, n), pos: make(map[int32]int, n)}
+	return &Heap{items: make([]Item, 0, n), pos: make([]int32, n)}
 }
 
 // Len returns the number of queued items.
@@ -38,17 +41,23 @@ func (h *Heap) Len() int { return len(h.items) }
 // MaxLen returns the high-water mark of Len since the last Reset.
 func (h *Heap) MaxLen() int { return h.maxLen }
 
-// Reset empties the heap, retaining allocated capacity.
+// Reset empties the heap, retaining allocated capacity. Only the keys
+// still queued have a position to clear: Pop clears its own.
 func (h *Heap) Reset() {
+	for _, it := range h.items {
+		h.pos[it.Key] = 0
+	}
 	h.items = h.items[:0]
-	clear(h.pos)
 	h.maxLen = 0
 }
 
 // Push inserts key with the given priority, or updates the priority if
 // the key is already queued.
 func (h *Heap) Push(key int32, prio float64) {
-	if i, ok := h.pos[key]; ok {
+	if int(key) >= len(h.pos) {
+		h.pos = append(h.pos, make([]int32, int(key)+1-len(h.pos))...)
+	}
+	if i := int(h.pos[key]) - 1; i >= 0 {
 		old := h.items[i].Prio
 		h.items[i].Prio = prio
 		switch {
@@ -60,9 +69,7 @@ func (h *Heap) Push(key int32, prio float64) {
 		return
 	}
 	h.items = append(h.items, Item{Key: key, Prio: prio})
-	i := len(h.items) - 1
-	h.pos[key] = i
-	h.up(i)
+	h.up(len(h.items) - 1)
 	if len(h.items) > h.maxLen {
 		h.maxLen = len(h.items)
 	}
@@ -76,9 +83,9 @@ func (h *Heap) Pop() (Item, bool) {
 	}
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.swap(0, last)
+	h.pos[top.Key] = 0
+	h.items[0] = h.items[last]
 	h.items = h.items[:last]
-	delete(h.pos, top.Key)
 	if last > 0 {
 		h.down(0)
 	}
@@ -95,51 +102,66 @@ func (h *Heap) Peek() (Item, bool) {
 
 // Contains reports whether key is queued.
 func (h *Heap) Contains(key int32) bool {
-	_, ok := h.pos[key]
+	_, ok := h.index(key)
 	return ok
 }
 
 // Prio returns the queued priority of key.
 func (h *Heap) Prio(key int32) (float64, bool) {
-	i, ok := h.pos[key]
+	i, ok := h.index(key)
 	if !ok {
 		return 0, false
 	}
 	return h.items[i].Prio, true
 }
 
-func (h *Heap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].Key] = i
-	h.pos[h.items[j].Key] = j
+// index returns key's position in items.
+func (h *Heap) index(key int32) (int, bool) {
+	if key < 0 || int(key) >= len(h.pos) || h.pos[key] == 0 {
+		return 0, false
+	}
+	return int(h.pos[key]) - 1, true
 }
 
+// up moves the item at i toward the root while its parent is larger,
+// shifting each parent it passes down one level.
 func (h *Heap) up(i int) {
+	it := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Prio <= h.items[i].Prio {
+		if h.items[parent].Prio <= it.Prio {
 			break
 		}
-		h.swap(i, parent)
+		h.place(i, h.items[parent])
 		i = parent
 	}
+	h.place(i, it)
 }
 
+// down moves the item at i toward the leaves while a child is smaller,
+// shifting the smaller child up one level each step.
 func (h *Heap) down(i int) {
 	n := len(h.items)
+	it := h.items[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.items[l].Prio < h.items[small].Prio {
-			small = l
+		small := 2*i + 1
+		if small >= n {
+			break
 		}
-		if r < n && h.items[r].Prio < h.items[small].Prio {
+		if r := small + 1; r < n && h.items[r].Prio < h.items[small].Prio {
 			small = r
 		}
-		if small == i {
-			return
+		if h.items[small].Prio >= it.Prio {
+			break
 		}
-		h.swap(i, small)
+		h.place(i, h.items[small])
 		i = small
 	}
+	h.place(i, it)
+}
+
+// place stores it at index i and records its position.
+func (h *Heap) place(i int, it Item) {
+	h.items[i] = it
+	h.pos[it.Key] = int32(i + 1)
 }

@@ -80,6 +80,37 @@ func TestPeekAndReset(t *testing.T) {
 	}
 }
 
+// TestResetAfterPartialPops pins the reuse contract of the position
+// index: keys far beyond the capacity hint are indexed, and a Reset
+// after some pops leaves no stale position behind, so pushing a key
+// that was queued before the Reset inserts it instead of updating a
+// slot that no longer holds it.
+func TestResetAfterPartialPops(t *testing.T) {
+	h := New(2)
+	for _, k := range []int32{1000, 3, 70, 5} {
+		h.Push(k, float64(k))
+	}
+	if it, _ := h.Pop(); it.Key != 3 {
+		t.Fatalf("Pop = %+v, want key 3", it)
+	}
+	h.Reset()
+	for _, k := range []int32{3, 5, 70, 1000} {
+		if h.Contains(k) {
+			t.Errorf("key %d still queued after Reset", k)
+		}
+	}
+	h.Push(1000, 2)
+	h.Push(70, 1)
+	if h.Len() != 2 {
+		t.Fatalf("Len = %d after re-pushing two formerly queued keys, want 2", h.Len())
+	}
+	for _, want := range []Item{{70, 1}, {1000, 2}} {
+		if it, ok := h.Pop(); !ok || it != want {
+			t.Errorf("Pop = %+v,%v, want %+v", it, ok, want)
+		}
+	}
+}
+
 func TestHeapSortProperty(t *testing.T) {
 	f := func(prios []float64) bool {
 		h := New(len(prios))

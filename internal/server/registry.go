@@ -61,22 +61,17 @@ func (v *Venue) Graph() *itgraph.Graph { return v.pools[core.MethodAsyn].Graph()
 func (v *Venue) Model() *model.Venue { return v.Graph().Venue() }
 
 // UpdateSchedules applies door-schedule changes as one atomic swap:
-// the venue model is rebuilt via WithSchedules, one new IT-Graph is
-// constructed, and every method pool swaps to it (engines and result
-// caches included). Updates are serialised; routes keep flowing
-// throughout and each response reflects either the old or the new
-// schedule set in full, never a mix. The returned epoch is THIS
-// update's generation (computed under the update lock, so concurrent
-// updaters each get their own number).
+// one new IT-Graph is derived via itgraph.Graph.WithSchedules, and
+// every method pool swaps to it (engines and result caches included).
+// Updates are serialised; routes keep flowing throughout and each
+// response reflects either the old or the new schedule set in full,
+// never a mix. The returned epoch is THIS update's generation
+// (computed under the update lock, so concurrent updaters each get
+// their own number).
 func (v *Venue) UpdateSchedules(updates map[model.DoorID]temporal.Schedule) (int64, error) {
 	v.updMu.Lock()
 	defer v.updMu.Unlock()
-	base := v.Graph().Venue()
-	v2, err := base.WithSchedules(updates)
-	if err != nil {
-		return v.epoch.Load(), err
-	}
-	g2, err := itgraph.New(v2)
+	g2, err := v.Graph().WithSchedules(updates)
 	if err != nil {
 		return v.epoch.Load(), err
 	}

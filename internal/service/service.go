@@ -504,14 +504,11 @@ func (p *Pool) SetGraph(g *itgraph.Graph) {
 }
 
 // UpdateSchedules is the convenience form of SetGraph for door
-// schedule changes: it rebuilds the venue via WithSchedules, builds
-// the IT-Graph over it, and swaps it in (nil schedule = always open).
+// schedule changes: it derives the new graph via
+// itgraph.Graph.WithSchedules and swaps it in (nil schedule = always
+// open).
 func (p *Pool) UpdateSchedules(updates map[model.DoorID]temporal.Schedule) error {
-	v2, err := p.backend.Load().v.WithSchedules(updates)
-	if err != nil {
-		return err
-	}
-	g2, err := itgraph.New(v2)
+	g2, err := p.backend.Load().g.WithSchedules(updates)
 	if err != nil {
 		return err
 	}

@@ -164,21 +164,25 @@ func TestFixtureTableI(t *testing.T) {
 func TestFixtureExample1At9(t *testing.T) {
 	ex := PaperFigure1()
 	g := itgraph.MustNew(ex.Venue)
-	q := core.Query{Source: ex.P3, Target: ex.P4, At: temporal.MustParse("9:00")}
-	for _, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
-		e := core.NewEngine(g, core.Options{Method: m})
-		p, _, err := e.Route(q)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if got := p.Format(ex.Venue); got != "(ps, d18, pt)" {
-			t.Errorf("%v: path = %s, want (ps, d18, pt)", m, got)
-		}
-		if math.Abs(p.Length-12) > 1e-9 {
-			t.Errorf("%v: length = %v, want 12", m, p.Length)
-		}
-		if err := p.Validate(g, q); err != nil {
-			t.Errorf("%v: Validate: %v", m, err)
+	// 33:00 is 9:00 the next day: Route answers for At.Mod(), and
+	// Validate must accept that answer too.
+	for _, at := range []temporal.TimeOfDay{temporal.MustParse("9:00"), temporal.MustParse("9:00") + temporal.DaySeconds} {
+		q := core.Query{Source: ex.P3, Target: ex.P4, At: at}
+		for _, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
+			e := core.NewEngine(g, core.Options{Method: m})
+			p, _, err := e.Route(q)
+			if err != nil {
+				t.Fatalf("%v at %v: %v", m, float64(at), err)
+			}
+			if got := p.Format(ex.Venue); got != "(ps, d18, pt)" {
+				t.Errorf("%v at %v: path = %s, want (ps, d18, pt)", m, float64(at), got)
+			}
+			if math.Abs(p.Length-12) > 1e-9 {
+				t.Errorf("%v at %v: length = %v, want 12", m, float64(at), p.Length)
+			}
+			if err := p.Validate(g, q); err != nil {
+				t.Errorf("%v at %v: Validate: %v", m, float64(at), err)
+			}
 		}
 	}
 	// The rejected candidate (p3, d15, d16, p4) is indeed 10 m but runs
