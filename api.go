@@ -287,17 +287,9 @@ type (
 // what turns held singletons into shared engine runs.
 func NewCoalescer(p *ServicePool, opts CoalescerOptions) *Coalescer { return coalesce.New(p, opts) }
 
-// Observability types (see internal/obs; served by GET /loadz and the
-// "explain" / reasons surfaces).
+// Decision-provenance types (see internal/obs; served by the "explain"
+// field and the reasons blocks of GET /statsz and /metricsz).
 type (
-	// LoadRing is the lock-free rolling ring of per-second load
-	// buckets every ServicePool feeds; LoadRing.Windows reads the
-	// trailing windowed view (queries, hits, shareability, hold
-	// utilization) in one pass.
-	LoadRing = obs.LoadRing
-	// LoadSample is one windowed (or per-operation) set of load
-	// signals — the unit both fed into and read out of a LoadRing.
-	LoadSample = obs.LoadSample
 	// DecisionReason is a compact provenance code: why a query missed
 	// the caches or why a plan member ran a dedicated engine search.
 	// Its String form is the wire vocabulary ("no_exact_entry",
@@ -307,10 +299,6 @@ type (
 	// PoolStats and the /statsz body).
 	ReasonStats = service.ReasonStats
 )
-
-// LoadWindows are the trailing spans, in seconds, every windowed load
-// view reports (10s, 1m, 5m).
-var LoadWindows = obs.LoadWindows
 
 // HTTP serving types (see internal/server and cmd/itspqd).
 type (

@@ -30,8 +30,9 @@
 //	GET  /statsz
 //	GET  /metricsz
 //	GET  /tracez    (filters: ?venue= ?method= ?min_ms= ?outcome=)
-//	GET  /loadz
+//	GET  /cachez    (filters: ?venue= ?method=)
 //	GET  /v1/venues
+//	POST /v1/venues
 //	POST /v1/venues/{id}/route
 //	POST /v1/venues/{id}/route:batch
 //	GET  /v1/venues/{id}/profile?from=x,y,floor&to=x,y,floor

@@ -273,7 +273,6 @@
 //	GET  /metricsz                      the same counters, Prometheus text format
 //	GET  /tracez                        recent request traces (slowest-K + sampled);
 //	                                    filters ?venue= ?method= ?min_ms= ?outcome=
-//	GET  /loadz                         rolling windowed load signals (10s/1m/5m)
 //	GET  /cachez                        cache occupancy + hot OD pairs + window
 //	                                    coverage + per-search engine effort
 //	GET  /v1/venues                     venue listing
@@ -436,23 +435,21 @@
 // records per-phase stage totals, server-side latency quantiles and a
 // client-vs-server quantile cross-check.
 //
-// # Load signals and decision provenance
+// # Decision provenance
 //
-// On top of the cumulative counters, every serving pool feeds a
-// lock-free ring of per-second buckets (obs.LoadRing — always on,
-// allocation-free per operation; BenchmarkLoadRingFeed self-checks
-// this in CI). GET /loadz reads each ring ONCE per scrape and reports
-// trailing 10s / 1m / 5m windows per venue and method: arrival rate,
-// exact and window hit rates, shareability (deduped + shared answers
-// per query), engine searches per query, coalescer hold utilization
-// (actual held time vs the configured hold — the headroom an adaptive
-// hold policy would steer by) and flush fan-out. The same derived
-// rates are exported as indoorpath_load_*{venue,method,window} gauges
-// on /metricsz. Within every windowed view the partition invariant
-// exact_hits + window_hits + deduped <= queries holds even while
-// buckets rotate under concurrent feeders: a query's whole outcome is
-// committed to one bucket, queries are written first and read last,
-// and a bucket observed mid-rotation is dropped whole.
+// The pool counters are cumulative since boot, so a rate over any
+// window is the difference (Δ) of two /statsz scrapes — Prometheus
+// rate() over /metricsz, or the per-phase deltas itspqreplay records —
+// with Δprocess.uptime_sec as the time base. Per venue and method:
+//
+//   - arrival rate = Δqueries / Δuptime_sec
+//   - exact, window and skeleton hit rates = Δcache_hits, Δwindow_hits
+//     and Δskeleton_hits / Δqueries
+//   - shareability = (Δdeduped + Δshared_answers) / Δqueries
+//   - engine searches per query = Δengine_searches / Δqueries
+//   - flush fan-out = Δcoalesce.queries / Δcoalesce.flushes
+//   - hold utilization = Δcoalesce.hold_sum_nanos /
+//     (Δcoalesce.queries × the configured -coalesce-hold)
 //
 // Decision provenance answers WHY, not just how often: every cache
 // miss carries a compact reason code — uncacheable, no_exact_entry,
@@ -466,8 +463,8 @@
 // ride /statsz ("reasons") and /metricsz
 // (indoorpath_reason_miss_total / indoorpath_reason_solo_total), and
 // probe/plan spans attach the reason to traces. itspqreplay records
-// per-phase reason deltas and the post-phase /loadz view in
-// BENCH_replay.json, and -v prints the reasons table.
+// per-phase reason deltas in BENCH_replay.json, and -v prints the
+// reasons table.
 //
 // # Workload and cache introspection
 //
@@ -497,7 +494,7 @@
 // indoorpath_engine_effort_{pops,settled,relaxations,tv_checks} on
 // /metricsz and "engine_effort" on /statsz, turning "p95 latency rose"
 // into "p95 pops rose: searches got deeper" (or didn't: the engine is
-// fine, the serving layer isn't). /statsz, /loadz and /cachez share
+// fine, the serving layer isn't). /statsz and /cachez share
 // strict ?venue=/?method= filters: unknown parameters, unregistered
 // venues and unknown methods answer 400 rather than silently matching
 // everything. itspqreplay scrapes /cachez and the effort histograms

@@ -151,14 +151,11 @@ func main() {
 		show("route miss with explain", "…"+missBody[i:])
 	}
 
-	// /loadz is the rolling load view the adaptive serving layer steers
-	// by: trailing 10s/1m/5m windows per venue and method — arrival
-	// rate, hit rates, shareability, coalescer hold utilization — plus
-	// per-reason miss/solo tallies. The same derived rates export as
-	// indoorpath_load_*{venue,method,window} gauges on /metricsz.
-	show("loadz", call(ts.URL, http.MethodGet, "/loadz", ""))
-	show("metricsz (load gauges)", grepLines(
-		call(ts.URL, http.MethodGet, "/metricsz", ""), "indoorpath_load_arrival_per_sec"))
+	// The per-reason tallies are cumulative counters, like every pool
+	// counter: a rate over a window is the difference of two scrapes
+	// (Prometheus rate(), or two /statsz reads).
+	show("metricsz (miss reasons)", grepLines(
+		call(ts.URL, http.MethodGet, "/metricsz", ""), "indoorpath_reason_miss_total"))
 
 	// /cachez is the cache-introspection view: exact-cache and
 	// window-store occupancy vs capacity with eviction counters, the

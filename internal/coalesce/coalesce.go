@@ -240,29 +240,13 @@ func (c *Coalescer) flush(batch []waiter) {
 		c.answers.Add(int64(len(batch)))
 		c.groups.Add(1)
 	}
-	var holdSum time.Duration
 	for i, w := range batch {
-		hold := start.Sub(w.enq)
-		c.observeHold(hold)
-		if hold > 0 {
-			holdSum += hold
-		}
+		c.observeHold(start.Sub(w.enq))
 		r := rs[i]
 		r.Coalesced = coalesced
 		w.tr.Adopt(collector)
 		w.ch <- r
 	}
-	// Feed the pool's load ring: one flush, its fan-out, and actual vs
-	// configured hold time — the windowed hold-utilization and
-	// flush-fan-out signals the adaptive hold policy will steer by. A
-	// maxGroup flush that fired early spent less than the configured
-	// hold; utilization < 1 measures the headroom.
-	c.pool.LoadRing().Feed(obs.LoadSample{
-		Flushes:         1,
-		FlushedQueries:  int64(len(batch)),
-		HoldNanos:       int64(holdSum),
-		HoldTargetNanos: int64(c.hold) * int64(len(batch)),
-	})
 }
 
 // observeHold records one answer's enqueue-to-flush latency.

@@ -5,7 +5,7 @@ package obs
 // cache, or why a batch/coalesce member ran a dedicated engine search
 // instead of joining a shared run. Reasons ride Results as a single
 // byte, surface as the "explain" field on miss responses, and are
-// tallied per pool (/statsz, /metricsz) and per second (LoadRing).
+// tallied per pool (/statsz, /metricsz).
 type Reason uint8
 
 const (
@@ -68,7 +68,7 @@ var reasonNames = [NumReasons]string{
 }
 
 // String returns the stable wire name ("" for ReasonNone). The names
-// are part of the /statsz, /loadz and "explain" vocabulary; never
+// are part of the /statsz and "explain" vocabulary; never
 // renumber or rename.
 func (r Reason) String() string {
 	if r < NumReasons {

@@ -17,10 +17,10 @@ type PairKey struct {
 	Tgt int32 `json:"tgt"`
 }
 
-// PairSample is one additive batch of per-pair tallies. Conventions
-// mirror LoadSample: every query counts once in Queries, and at most
-// one of ExactHits / WindowHits / SkeletonHits / Deduped /
-// EngineSearches describes how it was answered. Effort is the summed engine work (frontier pops)
+// PairSample is one additive batch of per-pair tallies: every query
+// counts once in Queries, and at most one of ExactHits / WindowHits /
+// SkeletonHits / Deduped / EngineSearches describes how it was
+// answered. Effort is the summed engine work (frontier pops)
 // spent on the pair's dedicated searches.
 type PairSample struct {
 	Queries        int64 `json:"queries"`
@@ -67,7 +67,7 @@ type pairSlot struct {
 // is fixed at construction and the feed path performs no allocation —
 // slots live in one preallocated array scanned linearly (capacities are
 // small), guarded by a mutex so concurrent feeders stay race-free. A
-// nil *TopK drops feeds and snapshots empty, mirroring LoadRing.
+// nil *TopK drops feeds and snapshots empty.
 type TopK struct {
 	mu    sync.Mutex
 	slots []pairSlot

@@ -297,7 +297,6 @@ func runPhase(client *http.Client, base, venue string, mv *model.Venue, ps *Phas
 
 	phr := aggregatePhase(ph, results, oracle, before, after, venue)
 	phr.DurationSec = phaseDur.Seconds()
-	phr.Load = scrapeLoad(client, base, venue)
 	phr.HotPairs = hotPairDelta(beforeCz, scrapeCachez(client, base, venue), phr.StatsDelta.Queries)
 	if fr != nil {
 		fr.mu.Lock()
@@ -493,29 +492,9 @@ func scrapeStats(client *http.Client, base string) (*server.StatsResponse, error
 	return &st, nil
 }
 
-// scrapeLoad reads the venue's /loadz block right after a phase. The
-// scrape is best-effort: nil against daemons predating the endpoint
-// (404) or on any transport/decode failure — the load view annotates
-// the report, it must not fail a run.
-func scrapeLoad(client *http.Client, base, venue string) map[string][]server.LoadWindowDoc {
-	resp, err := client.Get(base + "/loadz")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var lz server.LoadzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lz); err != nil {
-		return nil
-	}
-	return lz.Venues[venue]
-}
-
 // scrapeCachez reads the venue's /cachez block (per-method cache
-// introspection docs). Best-effort like scrapeLoad: nil against
-// daemons predating the endpoint or on any transport/decode failure —
+// introspection docs). The scrape is best-effort: nil against daemons
+// predating the endpoint (404) or on any transport/decode failure —
 // hot-pair deltas annotate the report, they must not fail a run.
 func scrapeCachez(client *http.Client, base, venue string) map[string]server.CacheMethodDoc {
 	resp, err := client.Get(base + "/cachez")

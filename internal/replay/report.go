@@ -148,12 +148,6 @@ type PhaseReport struct {
 	LatencyMs  LatencyDoc    `json:"latency"`
 	Provenance ProvenanceDoc `json:"provenance"`
 	StatsDelta StatsDeltaDoc `json:"stats_delta"`
-	// Load is the venue's /loadz block scraped right after the phase
-	// finished: per method, one windowed load view per served window
-	// (10s/1m/5m). The shortest window approximates the phase's own
-	// traffic; wider windows blend preceding phases in. Absent against
-	// daemons predating /loadz (the scrape is best-effort).
-	Load map[string][]server.LoadWindowDoc `json:"load,omitempty"`
 	// Stages is the per-stage latency breakdown from the daemon's
 	// stage histograms (absent against daemons predating them).
 	Stages []StageDeltaDoc `json:"stage_breakdown,omitempty"`

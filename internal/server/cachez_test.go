@@ -159,8 +159,8 @@ func TestCacheEvictionCountersSurface(t *testing.T) {
 }
 
 // TestScopeFilters drives mixed traffic and checks the shared
-// ?venue=/?method= filters narrow /statsz, /loadz and /cachez bodies
-// to exactly the requested scope.
+// ?venue=/?method= filters narrow /statsz and /cachez bodies to
+// exactly the requested scope.
 func TestScopeFilters(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	routeAt(t, ts.URL, "10:30", false)
@@ -181,13 +181,13 @@ func TestScopeFilters(t *testing.T) {
 		t.Fatalf("filtered statsz asyn queries = %d, want 1", doc.Methods["asyn"].Queries)
 	}
 
-	var lz LoadzResponse
-	getJSON(t, ts.URL+"/loadz?venue=office", &lz)
-	if len(lz.Venues) != 1 {
-		t.Fatalf("filtered loadz venues = %v, want office only", lz.Venues)
+	var office StatsResponse
+	getJSON(t, ts.URL+"/statsz?venue=office", &office)
+	if len(office.Venues) != 1 {
+		t.Fatalf("filtered statsz venues = %v, want office only", office.Venues)
 	}
-	if methods, ok := lz.Venues["office"]; !ok || len(methods) != 3 {
-		t.Fatalf("filtered loadz office methods = %v, want all three", methods)
+	if doc, ok := office.Venues["office"]; !ok || len(doc.Methods) != 3 {
+		t.Fatalf("filtered statsz office methods = %v, want all three", doc.Methods)
 	}
 
 	var cz CachezResponse
@@ -206,12 +206,12 @@ func TestScopeFilters(t *testing.T) {
 }
 
 // TestScopeFilterValidation checks the strict-400 contract shared by
-// /statsz, /loadz and /cachez: unknown parameter names, unregistered
+// /statsz and /cachez: unknown parameter names, unregistered
 // venues and unknown methods are rejected rather than silently
 // matching everything (or nothing).
 func TestScopeFilterValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
-	for _, ep := range []string{"/statsz", "/loadz", "/cachez"} {
+	for _, ep := range []string{"/statsz", "/cachez"} {
 		for _, query := range []string{
 			"?bogus=1", "?venues=hospital", "?venue=atlantis", "?method=dijkstra", "?outcome=ok",
 		} {

@@ -135,7 +135,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	if s.opts.Coalesce {
 		writeCoalesceMetrics(&sb, sn)
 	}
-	writeLoadMetrics(&sb, sn)
 	writeReasonMetrics(&sb, sn)
 	writeLatencyMetrics(&sb, sn)
 	writeEffortMetrics(&sb, sn)
@@ -143,68 +142,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", metricsContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(sb.String()))
-}
-
-// loadMetrics are the windowed load-signal gauge families: the /loadz
-// derived rates re-exported per (venue, method, window) so dashboards
-// and the adaptive serving policy read the same numbers. Gauges, not
-// counters — each scrape re-derives them from the rolling ring.
-var loadMetrics = []struct {
-	name  string
-	help  string
-	value func(LoadWindowDoc) float64
-}{
-	{"indoorpath_load_arrival_per_sec",
-		"Windowed arrival rate: queries per second over the window.",
-		func(d LoadWindowDoc) float64 { return d.ArrivalPerSec }},
-	{"indoorpath_load_exact_hit_rate",
-		"Windowed fraction of queries served from the exact-identity cache.",
-		func(d LoadWindowDoc) float64 { return d.ExactHitRate }},
-	{"indoorpath_load_window_hit_rate",
-		"Windowed fraction of queries served from the validity-window cache.",
-		func(d LoadWindowDoc) float64 { return d.WindowHitRate }},
-	{"indoorpath_load_skeleton_hit_rate",
-		"Windowed fraction of queries composed from a stored skeleton family.",
-		func(d LoadWindowDoc) float64 { return d.SkeletonHitRate }},
-	{"indoorpath_load_shareability",
-		"Windowed fraction of queries answered by another query's engine run (deduped or shared).",
-		func(d LoadWindowDoc) float64 { return d.Shareability }},
-	{"indoorpath_load_searches_per_query",
-		"Windowed engine searches per query: the cache+sharing miss cost.",
-		func(d LoadWindowDoc) float64 { return d.SearchesPerQuery }},
-	{"indoorpath_load_hold_utilization",
-		"Windowed actual vs configured coalescer hold time (1 means windows run their full hold).",
-		func(d LoadWindowDoc) float64 { return d.HoldUtilization }},
-	{"indoorpath_load_flush_fanout",
-		"Windowed queries per coalescer flush.",
-		func(d LoadWindowDoc) float64 { return d.FlushFanout }},
-}
-
-// windowLabel renders a window span as its metric label: 10s, 1m, 5m.
-func windowLabel(sec int) string {
-	if sec >= 60 && sec%60 == 0 {
-		return strconv.Itoa(sec/60) + "m"
-	}
-	return strconv.Itoa(sec) + "s"
-}
-
-// writeLoadMetrics renders the indoorpath_load_* gauge families from
-// the snapshot's one-read-per-ring load view, in deterministic order
-// (venues sorted, pooledMethods order, LoadWindows order).
-func writeLoadMetrics(sb *strings.Builder, sn statsSnapshot) {
-	for _, md := range loadMetrics {
-		fmt.Fprintf(sb, "# HELP %s %s\n", md.name, md.help)
-		fmt.Fprintf(sb, "# TYPE %s gauge\n", md.name)
-		for i, ve := range sn.venues {
-			for _, m := range pooledMethods {
-				for wi, smp := range sn.loads[i][methodName(m)] {
-					doc := loadWindowDoc(obs.LoadWindows[wi], smp)
-					fmt.Fprintf(sb, "%s{venue=%q,method=%q,window=%q} %g\n",
-						md.name, ve.ID(), methodName(m), windowLabel(doc.WindowSec), md.value(doc))
-				}
-			}
-		}
-	}
 }
 
 // writeReasonMetrics renders the cumulative decision-provenance

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -9,8 +10,8 @@ import (
 )
 
 // This file is the server side of the observability surface: GET
-// /tracez (with server-side filters), GET /loadz, build provenance,
-// and the consistent stats snapshot shared by /statsz and /metricsz.
+// /tracez (with server-side filters), build provenance, and the
+// consistent stats snapshot shared by /statsz and /metricsz.
 
 // handleTracez serves the retained recent traces: the slowest-K first
 // (descending duration), then the 1-in-N sampled population newest
@@ -34,8 +35,10 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	var minMs float64
 	if v := q.Get("min_ms"); v != "" {
 		var err error
-		if minMs, err = strconv.ParseFloat(v, 64); err != nil || minMs < 0 {
-			writeError(w, http.StatusBadRequest, badRequest("bad \"min_ms\": want a non-negative number, got %q", v))
+		// ParseFloat accepts NaN and ±Inf; NaN would pass the sign
+		// check and then match every trace.
+		if minMs, err = strconv.ParseFloat(v, 64); err != nil || minMs < 0 || math.IsNaN(minMs) || math.IsInf(minMs, 0) {
+			writeError(w, http.StatusBadRequest, badRequest("bad \"min_ms\": want a finite non-negative number, got %q", v))
 			return
 		}
 	}
@@ -60,7 +63,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 }
 
 // scopeFilter is a validated ?venue=/?method= narrowing of a
-// fleet-wide introspection endpoint (/statsz, /loadz, /cachez). Empty
+// fleet-wide introspection endpoint (/statsz, /cachez). Empty
 // fields match everything.
 type scopeFilter struct {
 	venue  string
@@ -105,110 +108,6 @@ func (s *Server) parseScopeFilter(w http.ResponseWriter, r *http.Request) (scope
 	return f, true
 }
 
-// handleLoadz serves the rolling load signals: per venue and method,
-// the windowed (10s/1m/5m) arrival, hit, shareability and
-// hold-utilization view from the pool load rings. Each venue/method's
-// windows come from one single-pass ring read (loadSnapshots), so a
-// body's windows are mutually consistent and each individually
-// satisfies exact+window+dedup <= queries. Supports the shared strict
-// ?venue=/?method= filters.
-func (s *Server) handleLoadz(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.parseScopeFilter(w, r)
-	if !ok {
-		return
-	}
-	venues := s.reg.Venues()
-	resp := LoadzResponse{
-		WindowsSec: obs.LoadWindows,
-		Venues:     make(map[string]map[string][]LoadWindowDoc, len(venues)),
-	}
-	for i, per := range loadSnapshots(venues) {
-		if !f.matchVenue(venues[i].ID()) {
-			continue
-		}
-		methods := make(map[string][]LoadWindowDoc, len(per))
-		for name, samples := range per {
-			if !f.matchMethod(name) {
-				continue
-			}
-			docs := make([]LoadWindowDoc, len(samples))
-			for wi, smp := range samples {
-				docs[wi] = loadWindowDoc(obs.LoadWindows[wi], smp)
-			}
-			methods[name] = docs
-		}
-		resp.Venues[venues[i].ID()] = methods
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// loadSnapshots reads every venue's per-method load rings once:
-// element i holds venue i's method -> one obs.LoadSample per
-// obs.LoadWindows entry. The single Windows call per pool is the
-// scrape discipline — /loadz and /metricsz bodies are each internally
-// consistent because no ring is read twice within one snapshot.
-func loadSnapshots(venues []*Venue) []map[string][]obs.LoadSample {
-	out := make([]map[string][]obs.LoadSample, len(venues))
-	for i, ve := range venues {
-		per := make(map[string][]obs.LoadSample, len(pooledMethods))
-		for _, m := range pooledMethods {
-			per[methodName(m)] = ve.Pool(m).LoadRing().Windows(obs.LoadWindows)
-		}
-		out[i] = per
-	}
-	return out
-}
-
-// loadWindowDoc derives the wire view of one windowed sample.
-func loadWindowDoc(windowSec int, s obs.LoadSample) LoadWindowDoc {
-	ratio := func(num, den int64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	}
-	doc := LoadWindowDoc{
-		WindowSec:        windowSec,
-		Queries:          s.Queries,
-		ExactHits:        s.ExactHits,
-		WindowHits:       s.WindowHits,
-		SkeletonHits:     s.SkeletonHits,
-		Deduped:          s.Deduped,
-		SharedAnswers:    s.SharedAnswers,
-		EngineSearches:   s.EngineSearches,
-		Flushes:          s.Flushes,
-		FlushedQueries:   s.FlushedQueries,
-		ArrivalPerSec:    ratio(s.Queries, int64(windowSec)),
-		ExactHitRate:     ratio(s.ExactHits, s.Queries),
-		WindowHitRate:    ratio(s.WindowHits, s.Queries),
-		SkeletonHitRate:  ratio(s.SkeletonHits, s.Queries),
-		Shareability:     ratio(s.Deduped+s.SharedAnswers, s.Queries),
-		SearchesPerQuery: ratio(s.EngineSearches, s.Queries),
-		HoldUtilization:  ratio(s.HoldNanos, s.HoldTargetNanos),
-		FlushFanout:      ratio(s.FlushedQueries, s.Flushes),
-	}
-	addReason := func(m map[string]int64, r obs.Reason, v int64) map[string]int64 {
-		if v == 0 {
-			return m
-		}
-		if m == nil {
-			m = make(map[string]int64)
-		}
-		m[r.String()] = v
-		return m
-	}
-	doc.MissReasons = addReason(doc.MissReasons, obs.ReasonUncacheable, s.MissUncacheable)
-	doc.MissReasons = addReason(doc.MissReasons, obs.ReasonNoExactEntry, s.MissNoExactEntry)
-	doc.MissReasons = addReason(doc.MissReasons, obs.ReasonWindowFamilyAbsent, s.MissFamilyAbsent)
-	doc.MissReasons = addReason(doc.MissReasons, obs.ReasonOutsideWindows, s.MissOutsideWindows)
-	doc.MissReasons = addReason(doc.MissReasons, obs.ReasonSkeletonUncertified, s.MissSkeletonUncertified)
-	doc.MissReasons = addReason(doc.MissReasons, obs.ReasonEpochRaced, s.MissEpochRaced)
-	doc.SoloReasons = addReason(doc.SoloReasons, obs.ReasonPrivatePartition, s.SoloPrivate)
-	doc.SoloReasons = addReason(doc.SoloReasons, obs.ReasonSingletonGroup, s.SoloSingleton)
-	doc.SoloReasons = addReason(doc.SoloReasons, obs.ReasonAblation, s.SoloAblation)
-	return doc
-}
-
 // readBuildInfo derives the server's build provenance once. The VCS
 // settings are only stamped into main-package builds from a repository
 // checkout; everything stays best-effort (empty fields, not errors).
@@ -238,8 +137,7 @@ func readBuildInfo() BuildInfoDoc {
 // venue — epoch and pool counters come from the same read).
 type statsSnapshot struct {
 	venues   []*Venue
-	docs     []VenueStatsDoc               // aligned with venues
-	loads    []map[string][]obs.LoadSample // aligned with venues; method -> per-LoadWindows sample
+	docs     []VenueStatsDoc // aligned with venues
 	requests map[obs.RequestKey]obs.HistogramSnapshot
 	stages   map[string]obs.HistogramSnapshot
 	server   ServerStatsDoc
@@ -256,7 +154,6 @@ func (s *Server) snapshotStats() statsSnapshot {
 	sn := statsSnapshot{
 		venues:   venues,
 		docs:     make([]VenueStatsDoc, len(venues)),
-		loads:    loadSnapshots(venues),
 		requests: s.obsv.RequestSnapshots(),
 		stages:   s.obsv.StageSnapshots(),
 		server:   ServerStatsDoc{Timeouts: s.timeouts.Load(), ClientGone: s.clientGone.Load()},

@@ -276,21 +276,6 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 					t.Errorf("tracez retained %d traces", tz.Count)
 					return
 				}
-				// The windowed load view must satisfy the same
-				// partition per window even while feeds race the
-				// scrape and buckets rotate underneath it.
-				var lz LoadzResponse
-				getJSON(t, ts.URL+"/loadz", &lz)
-				for id, methods := range lz.Venues {
-					for m, docs := range methods {
-						for _, doc := range docs {
-							if doc.ExactHits+doc.WindowHits+doc.SkeletonHits+doc.Deduped > doc.Queries {
-								t.Errorf("loadz %s/%s %ds window violates partition: %+v", id, m, doc.WindowSec, doc)
-								return
-							}
-						}
-					}
-				}
 				// The cache-introspection view must hold its own
 				// invariants in every body: occupancy within capacity,
 				// and — because the top-K table is snapshotted before
@@ -429,7 +414,8 @@ func TestTracezFilters(t *testing.T) {
 func TestTracezFilterValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	for _, query := range []string{
-		"?bogus=1", "?venues=hospital", "?min_ms=abc", "?min_ms=-1", "?outcome=fine",
+		"?bogus=1", "?venues=hospital", "?min_ms=abc", "?min_ms=-1", "?min_ms=NaN", "?min_ms=Inf",
+		"?outcome=fine",
 	} {
 		resp, raw := doJSON(t, http.MethodGet, ts.URL+"/tracez"+query, nil)
 		if resp.StatusCode != http.StatusBadRequest || errCode(t, raw) != "bad_request" {
@@ -438,54 +424,33 @@ func TestTracezFilterValidation(t *testing.T) {
 	}
 }
 
-// TestLoadzAfterTraffic checks the rolling load view end to end: known
-// traffic (two misses, one exact repeat) shows up in every window with
-// the partition invariant, the derived rates, and the miss-reason
-// tallies the provenance layer recorded.
-func TestLoadzAfterTraffic(t *testing.T) {
+// TestStatszAfterTraffic checks the cumulative counters end to end:
+// known traffic (two misses, one exact repeat) shows up in /statsz
+// with the partition invariant and the miss-reason tallies the
+// provenance layer recorded. A windowed rate is the difference of two
+// such scrapes.
+func TestStatszAfterTraffic(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	routeAt(t, ts.URL, "10:30", false)
 	routeAt(t, ts.URL, "10:45", false)
 	routeAt(t, ts.URL, "10:30", false) // exact repeat
 
-	var lz LoadzResponse
-	if resp := getJSON(t, ts.URL+"/loadz", &lz); resp.StatusCode != http.StatusOK {
-		t.Fatalf("loadz status = %d", resp.StatusCode)
+	var st StatsResponse
+	if resp := getJSON(t, ts.URL+"/statsz", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("statsz status = %d", resp.StatusCode)
 	}
-	if fmt.Sprint(lz.WindowsSec) != fmt.Sprint(obs.LoadWindows) {
-		t.Fatalf("windows_sec = %v, want %v", lz.WindowsSec, obs.LoadWindows)
+	ms := st.Venues["hospital"].Methods["asyn"]
+	checkPartition(t, "statsz hospital/asyn",
+		ms.Queries, ms.CacheHits, ms.WindowHits, ms.SkeletonHits, ms.Deduped, ms.EngineSearches)
+	if ms.Queries != 3 || ms.CacheHits != 1 || ms.EngineSearches != 2 {
+		t.Fatalf("hospital/asyn = %+v, want 3 queries / 1 cache hit / 2 searches", ms)
 	}
-	docs := lz.Venues["hospital"]["asyn"]
-	if len(docs) != len(obs.LoadWindows) {
-		t.Fatalf("hospital/asyn windows = %d, want %d", len(docs), len(obs.LoadWindows))
+	if ms.Reasons.MissNoExactEntry != 2 {
+		t.Fatalf("miss reasons = %+v, want miss_no_exact_entry: 2", ms.Reasons)
 	}
-	for i, doc := range docs {
-		if doc.WindowSec != obs.LoadWindows[i] {
-			t.Fatalf("window %d span = %d, want %d", i, doc.WindowSec, obs.LoadWindows[i])
-		}
-		if doc.ExactHits+doc.WindowHits+doc.Deduped > doc.Queries {
-			t.Fatalf("window %ds violates partition: %+v", doc.WindowSec, doc)
-		}
-	}
-	// All three routes ran milliseconds apart, so the widest window has
-	// seen all of them (the 10s window might straddle a second edge only
-	// if the test itself takes 10s).
-	widest := docs[len(docs)-1]
-	if widest.Queries != 3 || widest.ExactHits != 1 || widest.EngineSearches != 2 {
-		t.Fatalf("widest window = %+v, want 3 queries / 1 exact hit / 2 searches", widest)
-	}
-	if got, want := widest.ArrivalPerSec, 3.0/float64(widest.WindowSec); got != want {
-		t.Fatalf("arrival_per_sec = %v, want %v", got, want)
-	}
-	if got, want := widest.ExactHitRate, 1.0/3.0; got != want {
-		t.Fatalf("exact_hit_rate = %v, want %v", got, want)
-	}
-	if widest.MissReasons["no_exact_entry"] != 2 {
-		t.Fatalf("miss reasons = %v, want no_exact_entry: 2", widest.MissReasons)
-	}
-	// Untouched pools still report, with all-zero windows.
-	if quiet := lz.Venues["office"]["static"]; len(quiet) != len(obs.LoadWindows) || quiet[0].Queries != 0 {
-		t.Fatalf("quiet pool windows = %+v", quiet)
+	// Untouched pools still report, with all-zero counters.
+	if quiet, ok := st.Venues["office"].Methods["static"]; !ok || quiet.Queries != 0 {
+		t.Fatalf("quiet pool = %+v (present %v)", quiet, ok)
 	}
 }
 
@@ -511,8 +476,8 @@ func TestExplainProvenance(t *testing.T) {
 }
 
 // TestMetricszLoadAndReasonFamilies checks the /metricsz side of the
-// telemetry layer: windowed load gauges per (venue, method, window)
-// and cumulative per-reason counters, all from one scrape snapshot.
+// decision-provenance layer: cumulative per-reason counters, rendered
+// only for reasons that occurred.
 func TestMetricszLoadAndReasonFamilies(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	routeAt(t, ts.URL, "10:30", false)
@@ -523,22 +488,6 @@ func TestMetricszLoadAndReasonFamilies(t *testing.T) {
 		t.Fatalf("metricsz status = %d", resp.StatusCode)
 	}
 	body := string(raw)
-	for _, family := range []string{
-		"indoorpath_load_arrival_per_sec", "indoorpath_load_exact_hit_rate",
-		"indoorpath_load_window_hit_rate", "indoorpath_load_shareability",
-		"indoorpath_load_searches_per_query", "indoorpath_load_hold_utilization",
-		"indoorpath_load_flush_fanout",
-	} {
-		if !strings.Contains(body, "# TYPE "+family+" gauge") {
-			t.Errorf("family %s missing or not a gauge", family)
-		}
-		for _, window := range []string{"10s", "1m", "5m"} {
-			series := fmt.Sprintf("%s{venue=%q,method=%q,window=%q} ", family, "hospital", "asyn", window)
-			if !strings.Contains(body, series) {
-				t.Errorf("series %s missing", series)
-			}
-		}
-	}
 	if v := metricValue(t, body, `indoorpath_reason_miss_total{venue="hospital",method="asyn",reason="no_exact_entry"}`); v != 1 {
 		t.Errorf("miss reason counter = %d, want 1", v)
 	}

@@ -8,7 +8,7 @@
 //	GET  /healthz                       liveness + venue count + build provenance
 //	GET  /buildz                        build provenance (VCS revision, go version, start time)
 //	GET  /statsz                        per-venue, per-method pool counters
-//	GET  /loadz                         windowed (10s/1m/5m) load signals per venue/method
+//	GET  /tracez                        recent request traces (slowest-K + sampled)
 //	GET  /cachez                        cache occupancy, hot pairs, window coverage, engine effort
 //	GET  /metricsz                      the same counters in Prometheus text format
 //	GET  /v1/venues                     venue listing
@@ -185,7 +185,6 @@ func New(reg *Registry, opts Options) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /buildz", s.handleBuildz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
-	s.mux.HandleFunc("GET /loadz", s.handleLoadz)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
 	s.mux.HandleFunc("GET /cachez", s.handleCachez)

@@ -385,57 +385,6 @@ type TracezResponse struct {
 	Traces []*obs.TraceDoc `json:"traces"`
 }
 
-// LoadWindowDoc is one trailing-window view of a pool's rolling load
-// signals: raw totals over the window plus the derived rates the
-// adaptive policies steer by. Within any single doc the partition
-// ExactHits+WindowHits+SkeletonHits+Deduped <= Queries holds (the
-// load ring's feed/read ordering guarantees it even mid-rotation).
-type LoadWindowDoc struct {
-	// WindowSec is the trailing span this view covers (10, 60, 300).
-	WindowSec int `json:"window_sec"`
-
-	// Raw totals over the window.
-	Queries        int64 `json:"queries"`
-	ExactHits      int64 `json:"exact_hits"`
-	WindowHits     int64 `json:"window_hits"`
-	SkeletonHits   int64 `json:"skeleton_hits"`
-	Deduped        int64 `json:"deduped"`
-	SharedAnswers  int64 `json:"shared_answers"`
-	EngineSearches int64 `json:"engine_searches"`
-	Flushes        int64 `json:"flushes"`
-	FlushedQueries int64 `json:"flushed_queries"`
-
-	// Derived rates (0 when the denominator is 0).
-	ArrivalPerSec    float64 `json:"arrival_per_sec"`    // Queries / WindowSec
-	ExactHitRate     float64 `json:"exact_hit_rate"`     // ExactHits / Queries
-	WindowHitRate    float64 `json:"window_hit_rate"`    // WindowHits / Queries
-	SkeletonHitRate  float64 `json:"skeleton_hit_rate"`  // SkeletonHits / Queries
-	Shareability     float64 `json:"shareability"`       // (Deduped+SharedAnswers) / Queries
-	SearchesPerQuery float64 `json:"searches_per_query"` // EngineSearches / Queries
-	// HoldUtilization is actual hold time over configured hold time
-	// across the window's coalescer flushes: 1.0 means every waiter
-	// sat out the full hold; well under 1.0 means flushes fire early
-	// (maxGroup) or singletons dominate.
-	HoldUtilization float64 `json:"hold_utilization"`
-	// FlushFanout is FlushedQueries / Flushes — mean coalesced group
-	// size, the coalescer's grouping-rate health metric.
-	FlushFanout float64 `json:"flush_fanout"`
-
-	// Decision-provenance tallies over the window, keyed by the
-	// obs.Reason vocabulary. Omitted when empty.
-	MissReasons map[string]int64 `json:"miss_reasons,omitempty"`
-	SoloReasons map[string]int64 `json:"solo_reasons,omitempty"`
-}
-
-// LoadzResponse is the body of GET /loadz: per venue, per method, one
-// LoadWindowDoc per trailing window (10s, 1m, 5m — WindowsSec, in
-// order). All windows of one venue/method come from a single pass over
-// that pool's ring, so they are mutually consistent.
-type LoadzResponse struct {
-	WindowsSec []int                                 `json:"windows_sec"`
-	Venues     map[string]map[string][]LoadWindowDoc `json:"venues"`
-}
-
 // CachezResponse is the body of GET /cachez: per venue and method, the
 // cache-introspection view — exact-cache and window-store occupancy vs
 // capacity with eviction counters, per-OD-pair window counts and day

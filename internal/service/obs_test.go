@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -97,6 +98,64 @@ func TestBatchTracedSpans(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGroupSingleMissBooking checks a shared-source group whose
+// fan-out the caches absorbed down to one miss: that member runs a
+// dedicated search with the solo path's spans, provenance and
+// counters, plus one singleton_group solo tally.
+func TestGroupSingleMissBooking(t *testing.T) {
+	b := model.NewBuilder("corridor")
+	rooms := make([]model.PartitionID, 3)
+	for i := range rooms {
+		x := float64(i * 10)
+		rooms[i] = b.AddPartition(fmt.Sprintf("room-%d", i), model.PublicPartition, geom.NewRect(x, 0, x+10, 10, 0))
+	}
+	for i := 1; i < len(rooms); i++ {
+		d := b.AddDoor("", model.PublicDoor, geom.Pt(float64(i*10), 5, 0), nil)
+		b.ConnectBi(d, rooms[i-1], rooms[i])
+	}
+	pool := New(itgraph.MustNew(b.MustBuild()), Options{SharedBatch: true})
+	at := temporal.TimeOfDay(10 * 3600)
+	cached := core.Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(15, 5, 0), At: at}
+	fresh := core.Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(25, 5, 0), At: at}
+	if r := pool.RouteResult(cached); r.Err != nil {
+		t.Fatalf("warm route: %v", r.Err)
+	}
+	before := pool.Stats()
+
+	tr := obs.NewObserver(obs.ObserverOptions{}).NewTrace()
+	rs, sum := pool.RouteBatchSummaryTraced(tr, []core.Query{cached, fresh})
+	if rs[0].Hit != HitExact || rs[1].Hit != HitMiss || rs[1].Explain != obs.ReasonNoExactEntry || rs[1].SharedRun {
+		t.Fatalf("results = %+v / %+v, want an exact hit and a no_exact_entry solo miss", rs[0], rs[1])
+	}
+	if sum.ExactHits != 1 || sum.Searches != 1 || sum.SharedRuns != 0 {
+		t.Fatalf("summary = %+v, want 1 exact hit and 1 search", sum)
+	}
+	stages := map[string]int{}
+	for _, s := range tr.Doc(obs.RequestInfo{}).Spans {
+		stages[s.Stage]++
+	}
+	if stages["plan"] != 1 || stages["probe"] != 1 || stages["engine"] != 1 || stages["store"] != 1 {
+		t.Fatalf("spans = %v, want plan/probe/engine/store once each", stages)
+	}
+
+	after := pool.Stats()
+	if d := after.Queries - before.Queries; d != 2 {
+		t.Errorf("queries +%d, want +2", d)
+	}
+	if d := after.CacheHits - before.CacheHits; d != 1 {
+		t.Errorf("cache_hits +%d, want +1", d)
+	}
+	if d := after.EngineSearches - before.EngineSearches; d != 1 {
+		t.Errorf("engine_searches +%d, want +1", d)
+	}
+	if d := after.Reasons.MissNoExactEntry - before.Reasons.MissNoExactEntry; d != 1 {
+		t.Errorf("miss_no_exact_entry +%d, want +1", d)
+	}
+	if d := after.Reasons.SoloSingletonGroup - before.Reasons.SoloSingletonGroup; d != 1 {
+		t.Errorf("solo_singleton_group +%d, want +1", d)
 	}
 }
 

@@ -328,20 +328,16 @@ type Pool struct {
 	// indexed by obs.Reason (ReasonNone's slot stays zero).
 	reasonCounts [obs.NumReasons]atomic.Int64
 
-	// load is the always-on rolling load-signal ring. Unlike the
-	// caches it survives SetGraph swaps: arrival history is a property
-	// of the traffic, not of a backend generation.
-	load *obs.LoadRing
-
 	// pairs is the always-on space-saving heavy-hitter table over
 	// (source partition, target partition) OD pairs — the evidence base
-	// for a door-to-door skeleton store (ROADMAP open item 1). Like
-	// load it survives swaps: workload shape outlives any backend.
+	// for a door-to-door skeleton store (ROADMAP open item 1). Unlike
+	// the caches it survives SetGraph swaps: workload shape outlives
+	// any backend.
 	pairs *obs.TopK
 
 	// effort* are the per-search engine-effort distributions (count
 	// histograms over core.SearchStats), fed once per actual engine
-	// run. They survive swaps for the same reason as load.
+	// run. They survive swaps for the same reason as pairs.
 	effortPops   *obs.Histogram
 	effortSettle *obs.Histogram
 	effortRelax  *obs.Histogram
@@ -361,7 +357,6 @@ type Pool struct {
 func New(g *itgraph.Graph, opts Options) *Pool {
 	p := &Pool{
 		opts:         opts,
-		load:         obs.NewLoadRing(),
 		pairs:        obs.NewTopK(0),
 		effortPops:   obs.NewCountHistogram(nil),
 		effortSettle: obs.NewCountHistogram(nil),
@@ -371,12 +366,6 @@ func New(g *itgraph.Graph, opts Options) *Pool {
 	p.backend.Store(p.newBackend(g))
 	return p
 }
-
-// LoadRing exposes the pool's rolling load-signal ring: per-second
-// arrival/hit/shareability/hold tallies over the last
-// obs.LoadRetentionSec seconds. Always non-nil; servers snapshot it
-// with LoadRing().Windows(obs.LoadWindows).
-func (p *Pool) LoadRing() *obs.LoadRing { return p.load }
 
 // HotPairs snapshots the pool's OD-pair heavy-hitter table, sorted by
 // descending query weight. Snapshot it before Stats() when comparing
@@ -583,26 +572,6 @@ func (p *Pool) reasonStats() ReasonStats {
 	}
 }
 
-// noteMiss books one engine-answered miss: the per-reason counter plus
-// one ring sample carrying the query's whole outcome (arrival, search,
-// reason) so the windowed partition stays consistent. Allocation-free.
-func (p *Pool) noteMiss(reason obs.Reason, extra obs.LoadSample) {
-	p.reasonCounts[reason].Add(1)
-	extra.Queries = 1
-	extra.CountReason(reason)
-	p.load.Feed(extra)
-}
-
-// noteSolo books one member that ran a dedicated search instead of
-// sharing. Solo tallies ride their own sample: they are not part of
-// the hit+dedup <= queries partition.
-func (p *Pool) noteSolo(reason obs.Reason) {
-	p.reasonCounts[reason].Add(1)
-	var s obs.LoadSample
-	s.CountReason(reason)
-	p.load.Feed(s)
-}
-
 // workers resolves the effective fan-out width.
 func (p *Pool) workers() int {
 	if p.opts.Workers > 0 {
@@ -659,9 +628,23 @@ func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cache
 	if ok {
 		return r
 	}
-	sp = tr.Start(obs.StageEngine)
-	p.engineSearches.Add(1)
 	e := b.engines.Get().(*core.Engine)
+	r = p.searchMiss(tr, b, e, q, key, ekey, cacheable, epoch, wepoch, reason)
+	b.engines.Put(e)
+	return r
+}
+
+// searchMiss answers one cache miss with a dedicated search on the
+// checked-out engine e: engine span, Route, store span (the miss's
+// provenance upgrades to epoch_raced when a guard discards the
+// outcome), then the miss booking — reason tally, effort histograms
+// and, for cacheable queries, the pair table. The caller has already
+// counted the query.
+func (p *Pool) searchMiss(tr *obs.Trace, b *poolBackend, e *core.Engine, q core.Query, key cacheKey, ekey entryKey,
+	cacheable bool, epoch, wepoch uint64, reason obs.Reason) Result {
+
+	sp := tr.Start(obs.StageEngine)
+	p.engineSearches.Add(1)
 	path, stats, err := e.Route(q)
 	if tr == nil {
 		sp.End()
@@ -671,17 +654,16 @@ func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cache
 		attach := stats
 		sp.EndWith(&attach)
 	}
-	r = Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
+	r := Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
 	sp = tr.Start(obs.StageStore)
 	if p.storeOutcome(b, e, q, key, ekey, cacheable, r, epoch, wepoch) {
 		// The computed outcome was discarded by an epoch guard: the
 		// cache state this miss reasoned about no longer exists.
 		reason = obs.ReasonEpochRaced
 	}
-	b.engines.Put(e)
 	sp.End()
 	r.Explain = reason
-	p.noteMiss(reason, obs.LoadSample{EngineSearches: 1})
+	p.reasonCounts[reason].Add(1)
 	p.observeEffort(stats)
 	if cacheable {
 		p.pairs.Feed(pairKeyOf(key),
@@ -708,10 +690,9 @@ type planAttrs struct {
 
 // lookupCaches serves q from the exact cache, then the validity-window
 // cache, then the pair's skeleton family, counting hits (pool counters
-// and the load ring — a hit's whole outcome is fed here in one
-// sample). On a miss it returns the store epochs captured before any
-// search, for the epoch-guarded inserts of storeOutcome, plus the
-// miss's provenance; the caller books the miss (noteMiss) once the
+// and the pair table). On a miss it returns the store epochs captured
+// before any search, for the epoch-guarded inserts of storeOutcome,
+// plus the miss's provenance; the caller books the miss once the
 // outcome — including a possible epoch race — is known.
 //
 // Probe order is cheapest-first: an exact hit is a map step, a window
@@ -730,7 +711,6 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 	if useCache {
 		if r, ok := b.cache.get(key, ekey); ok {
 			p.cacheHits.Add(1)
-			p.load.Feed(obs.LoadSample{Queries: 1, ExactHits: 1})
 			p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, ExactHits: 1})
 			r.CacheHit = true
 			r.Hit = HitExact
@@ -750,7 +730,6 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 			// window lookup repeats serve from is already O(log n).
 			r := materializeWindow(ent, q, ekey)
 			p.windowHits.Add(1)
-			p.load.Feed(obs.LoadSample{Queries: 1, WindowHits: 1})
 			p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, WindowHits: 1})
 			r.CacheHit = true
 			r.Hit = HitWindow
@@ -769,7 +748,6 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 			if path, ok := core.ComposeSkeletonPath(b.g, q.Source, q.Target, ekey.at, ekey.speed, fe.Fam); ok {
 				r := Result{Path: path, Stats: fe.Stats, CacheHit: true, Hit: HitSkeleton}
 				p.skeletonHits.Add(1)
-				p.load.Feed(obs.LoadSample{Queries: 1, SkeletonHits: 1})
 				p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, SkeletonHits: 1})
 				return r, true, 0, 0, obs.ReasonNone
 			}
@@ -1119,13 +1097,8 @@ func (p *Pool) RouteBatchSummaryTraced(tr *obs.Trace, qs []core.Query) ([]Result
 	// Propagate canonical outcomes to their duplicates. SharedRun is
 	// cleared on the copy (as cache.put does when re-labelling): the
 	// duplicate is accounted as deduped, not as a shared-run answer, so
-	// per-entry flags always sum to the summary's tallies. One ring
-	// sample per group keeps a duplicate's arrival and dedup mark in
-	// one bucket.
+	// per-entry flags always sum to the summary's tallies.
 	for _, g := range groups {
-		if n := int64(len(g.dups)); n > 0 {
-			p.load.Feed(obs.LoadSample{Queries: n, Deduped: n})
-		}
 		for _, i := range g.dups {
 			p.queries.Add(1)
 			p.deduped.Add(1)
@@ -1193,7 +1166,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 				// Only members that actually ran a dedicated search
 				// count as solo decisions; a cache hit shared nothing
 				// because it cost nothing.
-				p.noteSolo(soloWhy)
+				p.reasonCounts[soloWhy].Add(1)
 			}
 		}
 		return
@@ -1243,29 +1216,8 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		// The caches absorbed the fan-out: a single miss is a plain
 		// solo search (solo provenance: nothing left to share with).
 		pm := rem[0]
-		sp = tr.Start(obs.StageEngine)
-		p.engineSearches.Add(1)
-		path, stats, err := e.Route(qs[pm.i])
-		if tr == nil {
-			sp.End()
-		} else {
-			attach := stats
-			sp.EndWith(&attach)
-		}
-		r := Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
-		sp = tr.Start(obs.StageStore)
-		reason := pm.reason
-		if p.storeOutcome(b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
-			reason = obs.ReasonEpochRaced
-		}
-		sp.End()
-		r.Explain = reason
-		p.noteMiss(reason, obs.LoadSample{EngineSearches: 1})
-		p.noteSolo(obs.ReasonSingletonGroup)
-		p.observeEffort(stats)
-		p.pairs.Feed(pairKeyOf(keys[pm.i]),
-			obs.PairSample{Queries: 1, EngineSearches: 1, Effort: int64(stats.Pops)})
-		out[pm.i] = r
+		out[pm.i] = p.searchMiss(tr, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, pm.epoch, pm.wepoch, pm.reason)
+		p.reasonCounts[obs.ReasonSingletonGroup].Add(1)
 		return
 	}
 
@@ -1331,22 +1283,16 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 			reason = obs.ReasonEpochRaced
 		}
 		r.Explain = reason
-		extra := obs.LoadSample{}
-		if r.SharedRun {
-			extra.SharedAnswers = 1
-		}
 		ps := obs.PairSample{Queries: 1}
 		if o.Solo {
 			// The run refused this member (privacy, or the ablation
 			// forbids shared expansion) and fell back to a dedicated
 			// search — already tallied in engineSearches above.
-			extra.EngineSearches = 1
 			soloWhy := obs.ReasonPrivatePartition
 			if p.opts.Engine.SinglePartitionExpansion {
 				soloWhy = obs.ReasonAblation
 			}
 			p.reasonCounts[soloWhy].Add(1)
-			extra.CountReason(soloWhy)
 			p.observeEffort(o.Stats)
 			// The dedicated fallback search is attributable to the
 			// member's own pair; shared-run answers are not (one run
@@ -1354,12 +1300,9 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 			ps.EngineSearches = 1
 			ps.Effort = int64(o.Stats.Pops)
 		}
-		p.noteMiss(reason, extra)
+		p.reasonCounts[reason].Add(1)
 		p.pairs.Feed(pairKeyOf(keys[pm.i]), ps)
 		out[pm.i] = r
-	}
-	if nShared > 0 {
-		p.load.Feed(obs.LoadSample{EngineSearches: 1}) // the one shared search
 	}
 }
 
@@ -1391,7 +1334,7 @@ func (p *Pool) routePartitionGroup(tr *obs.Trace, b *poolBackend, qs []core.Quer
 			produced = true
 			continue
 		}
-		p.noteSolo(obs.ReasonSingletonGroup)
+		p.reasonCounts[obs.ReasonSingletonGroup].Add(1)
 	}
 }
 
