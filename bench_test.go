@@ -645,6 +645,78 @@ func BenchmarkPoolRouteNeighborhood(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolRouteScatter measures the pool on perfbench's scatter
+// shape: 256 queries whose partition pairs are all distinct (a source
+// and a target permutation of the indoor partitions, as perfbench
+// draws them), departures over the trading day, with the window and
+// skeleton stores on. No pair comes back, so every query is one engine
+// search and a skeleton family could never pay for itself. Each
+// iteration serves the stream from a fresh pool, whose pair table has
+// seen none of the pairs; the benchmark reports us/query and
+// families/query and self-checks that no family is built.
+func BenchmarkPoolRouteScatter(b *testing.B) {
+	tb := newTestbed(b, 5, 8, 1500, indoorpath.Clock(12, 0, 0))
+	tb.graph.Snapshots().BuildAll()
+	var indoor []indoorpath.Rect
+	for _, p := range tb.graph.Venue().Partitions() {
+		if p.Kind != indoorpath.OutdoorPartition && p.Rect.Area() > 0 {
+			indoor = append(indoor, p.Rect)
+		}
+	}
+	const n = 256
+	if len(indoor) < n {
+		b.Fatalf("%d indoor partitions, want at least %d distinct sources", len(indoor), n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	interior := func(r indoorpath.Rect) indoorpath.Point {
+		m := min(r.Width(), r.Height()) * 0.1
+		return indoorpath.Pt(r.MinX+m+rng.Float64()*(r.Width()-2*m), r.MinY+m+rng.Float64()*(r.Height()-2*m), r.Floor)
+	}
+	srcs, tgts := rng.Perm(len(indoor)), rng.Perm(len(indoor))
+	qs := make([]indoorpath.Query, n)
+	for i := range qs {
+		qs[i] = indoorpath.Query{
+			Source: interior(indoor[srcs[i]]),
+			Target: interior(indoor[tgts[i]]),
+			At:     indoorpath.Clock(7, 0, 0) + indoorpath.TimeOfDay(rng.Intn(15*3600)),
+		}
+	}
+	var families, found int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pool := indoorpath.NewPool(tb.graph, indoorpath.PoolOptions{
+			Engine:        indoorpath.Options{Method: indoorpath.MethodAsyn},
+			WindowCache:   true,
+			SkeletonCache: true,
+		})
+		b.StartTimer()
+		for _, q := range qs {
+			_, _, err := pool.Route(q)
+			switch {
+			case err == nil:
+				found++
+			case err != indoorpath.ErrNoRoute:
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		families += pool.Stats().SkelFamilies
+		b.StartTimer()
+	}
+	b.StopTimer()
+	queries := float64(b.N * n)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/queries, "us/query")
+	b.ReportMetric(float64(families)/queries, "families/query")
+	if found == 0 {
+		b.Fatal("no scatter query found a route — the check is vacuous")
+	}
+	if families != 0 {
+		b.Fatalf("scatter built %d skeleton families for pairs queried once", families)
+	}
+}
+
 // serverBenchSetup boots the HTTP serving stack (registry + server +
 // httptest listener) over the synth-mall testbed with caching disabled,
 // so every request is a real search and the delta against

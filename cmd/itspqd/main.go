@@ -15,9 +15,10 @@
 // departure, or static shared destination) cost one engine run
 // together instead of one each. It implies -shared-batch.
 //
-// -skeleton-cache enables the point-free answer layer: the first miss
-// between a partition pair stores the pair's door-to-door skeleton
-// family, and any later query between the same partitions — different
+// -skeleton-cache enables the point-free answer layer: a miss on a
+// partition pair the pool has seen before stores the pair's
+// door-to-door skeleton family (a pair queried once builds none), and
+// any later query between the same partitions — different
 // points, different departure inside the checkpoint slot — is answered
 // by composing first leg + skeleton + last leg ("hit":"skeleton"),
 // bit-identical to a fresh engine search or not served at all.
@@ -82,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 0, "batch fan-out goroutines per venue pool (0 = GOMAXPROCS)")
 		cache   = fs.Int("cache", 0, "result-cache capacity per pool (0 = default, negative = disabled)")
 		window  = fs.Bool("window-cache", false, "enable the validity-window temporal result cache (cross-time cache hits)")
-		skel    = fs.Bool("skeleton-cache", false, "enable the door-to-door skeleton store (cross-point cache hits: compose answers for any points of a cached partition pair)")
+		skel    = fs.Bool("skeleton-cache", false, "enable the door-to-door skeleton store (cross-point cache hits: a miss on a partition pair seen before stores its family, and later queries for any points of the pair compose from it)")
 		shared  = fs.Bool("shared-batch", false, "enable the shared-execution batch planner (one engine run answers each same-endpoint batch group)")
 		coal    = fs.Bool("coalesce", false, "coalesce concurrent solo route requests into shared engine runs (implies -shared-batch)")
 		hold    = fs.Duration("coalesce-hold", 0, "coalescer accumulation window (0 = 2ms default); solo requests wait at most this long for company")

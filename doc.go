@@ -142,11 +142,17 @@
 // crowd — many walkers between the same two rooms, no two standing on
 // the same spot — scores zero reuse: every jittered endpoint is a
 // fresh key. PoolOptions.SkeletonCache (itspqd -skeleton-cache) adds
-// the point-free layer: from each found engine answer the pool strips
-// the point-dependent first and last legs and stores the remaining
-// door-to-door SKELETON — the door chain with cumulative door-to-door
-// distances — keyed by (source partition, target partition, checkpoint
-// slot). A later query between ANY points of the same partition pair
+// the point-free layer: a miss on a pair the pool has seen before
+// builds the pair's door-to-door SKELETON family — the door chains
+// with cumulative door-to-door distances that remain once the
+// point-dependent first and last legs are stripped — keyed by (source
+// partition, target partition, checkpoint slot). The pool's hot-pair
+// table (the top pairs /cachez serves) decides: a build costs one
+// search per entry door of the source partition, so a pair queried
+// only once never pays for one, and a pair's first miss only enters it
+// into the table. The table outlives schedule swaps, so after a swap a
+// known pair rebuilds its family on its first miss. A later query
+// between ANY points of the same partition pair
 // and slot is answered by composition: first leg = straight walk from
 // the new source to the chain's entry door, skeleton legs replayed
 // from the stored cumulative distances, last leg = straight walk from
@@ -177,9 +183,11 @@
 // /cachez reports skeleton-store occupancy and per-pair day coverage,
 // and a schedule swap drops the store with everything else — epochs
 // make a raced certification unstorable, exactly like the window
-// store. BenchmarkPoolRouteNeighborhood self-checks the effect in CI:
-// a 256-query jittered crowd between one hot partition pair is served
-// by ~1 engine search instead of 256.
+// store. Two benchmarks self-check the layer in CI:
+// BenchmarkPoolRouteNeighborhood serves a 256-query jittered crowd
+// between one hot partition pair with a few engine searches instead of
+// 256, and BenchmarkPoolRouteScatter serves 256 queries over distinct
+// pairs without building a single family.
 //
 // # Shared execution
 //

@@ -68,6 +68,11 @@ type pairSlot struct {
 // slots live in one preallocated array scanned linearly (capacities are
 // small), guarded by a mutex so concurrent feeders stay race-free. A
 // nil *TopK drops feeds and snapshots empty.
+//
+// Besides describing the workload, the table decides skeleton-family
+// builds: the service pool builds a pair's family only on a miss for a
+// pair the table has already Seen, so a pair queried once never pays
+// for one.
 type TopK struct {
 	mu    sync.Mutex
 	slots []pairSlot
@@ -115,6 +120,27 @@ func (t *TopK) Feed(k PairKey, s PairSample) {
 	*sl = pairSlot{key: k, s: PairSample{Queries: inherited}, err: inherited}
 	sl.s.add(s)
 	t.mu.Unlock()
+}
+
+// Seen reports whether the table holds at least one guaranteed query
+// for pair k: the pair is tracked and its weight exceeds the error
+// bound it inherited on takeover, so only queries fed for k itself
+// count. Allocation-free; safe for concurrent use; false on a nil
+// receiver.
+func (t *TopK) Seen(k PairKey) bool {
+	if t == nil {
+		return false
+	}
+	seen := false
+	t.mu.Lock()
+	for i := range t.slots {
+		if t.slots[i].key == k {
+			seen = t.slots[i].s.Queries-t.slots[i].err >= 1
+			break
+		}
+	}
+	t.mu.Unlock()
+	return seen
 }
 
 // Snapshot returns the tracked pairs sorted by descending query weight

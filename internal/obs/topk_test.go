@@ -119,9 +119,52 @@ func TestTopKNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestTopKSeen pins the skeleton admission test: a pair is seen only
+// with at least one guaranteed query, so the weight a pair inherits on
+// takeover never counts.
+func TestTopKSeen(t *testing.T) {
+	var nilTK *TopK
+	if nilTK.Seen(PairKey{Src: 1, Tgt: 2}) {
+		t.Fatal("nil TopK reports a pair as seen")
+	}
+	tk := NewTopK(2)
+	a, b, c := PairKey{Src: 1, Tgt: 2}, PairKey{Src: 3, Tgt: 4}, PairKey{Src: 5, Tgt: 6}
+	if tk.Seen(a) {
+		t.Fatal("untracked pair reported as seen")
+	}
+	tk.Feed(a, PairSample{Queries: 1, EngineSearches: 1})
+	if !tk.Seen(a) {
+		t.Fatal("pair not seen after one feed")
+	}
+	tk.Feed(a, PairSample{Queries: 1})
+	tk.Feed(b, PairSample{Queries: 1})
+	// c takes over b's slot with a sample that carries no query: it
+	// holds only b's inherited weight, which is its error bound.
+	tk.Feed(c, PairSample{Effort: 7})
+	if tk.Seen(b) {
+		t.Fatal("evicted pair still reported as seen")
+	}
+	if tk.Seen(c) {
+		t.Fatal("pair seen on inherited weight alone")
+	}
+	tk.Feed(c, PairSample{Queries: 1})
+	if !tk.Seen(c) {
+		t.Fatal("pair not seen after its own query was fed")
+	}
+	// A takeover that carries a query guarantees that one query.
+	d := PairKey{Src: 7, Tgt: 8}
+	tk.Feed(d, PairSample{Queries: 1})
+	if !tk.Seen(d) {
+		t.Fatalf("pair that took over with its own query not seen: %+v", tk.Snapshot())
+	}
+	if n := testing.AllocsPerRun(500, func() { tk.Seen(a); tk.Seen(b) }); n != 0 {
+		t.Fatalf("TopK.Seen allocates %.1f per op, want 0", n)
+	}
+}
+
 // TestTopKConcurrentFeeders hammers one table from many goroutines
-// (run under -race) and checks the bounded-memory and summed-weight
-// invariants afterwards.
+// that feed it and ask Seen (run under -race) and checks the
+// bounded-memory and summed-weight invariants afterwards.
 func TestTopKConcurrentFeeders(t *testing.T) {
 	tk := NewTopK(16)
 	const workers, perWorker = 8, 2000
@@ -132,6 +175,7 @@ func TestTopKConcurrentFeeders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := PairKey{Src: int32(w % 4), Tgt: int32(i % 23)}
+				tk.Seen(k)
 				tk.Feed(k, PairSample{Queries: 1, EngineSearches: 1, Effort: int64(i % 7)})
 				if i%97 == 0 {
 					tk.Snapshot()

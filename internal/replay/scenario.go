@@ -507,8 +507,8 @@ func Builtin(name string, quick bool) (*Scenario, error) {
 		// jittered — Templates is deliberately 0, so no two queries
 		// repeat an exact point and the exact/window caches score ~0.
 		// Only skeleton composition can absorb the wave. A short scout
-		// phase sends the first travellers through each pair (their
-		// misses build the door-to-door families), then the jittered
+		// phase sends the first travellers through each pair (a pair's
+		// second miss builds its door-to-door family), then the jittered
 		// crowd arrives and must compose: the verdicts require skeleton
 		// hits on the wire and at most half an engine search per query.
 		// Departures stay inside the 10:00–12:00 visiting-hours

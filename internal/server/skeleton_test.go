@@ -39,10 +39,12 @@ func skelRoute(t testing.TB, base string, from, to PointDoc, at string) RouteRes
 }
 
 // TestSkeletonServerEndToEnd drives the CI-smoke scenario through the
-// full HTTP stack: a first ER-to-ward route misses and builds the
-// pair's skeleton family, a second route between DIFFERENT points of
-// the same partitions answers "hit":"skeleton", and every
-// introspection surface tells the same story.
+// full HTTP stack: a first ER-to-ward route misses without building, a
+// second route between DIFFERENT points of the same partitions misses
+// again and builds the pair's skeleton family (the pair has been seen
+// before), a third route between other points again answers
+// "hit":"skeleton", and every introspection surface tells the same
+// story.
 func TestSkeletonServerEndToEnd(t *testing.T) {
 	ts := newSkeletonTestServer(t)
 
@@ -51,12 +53,16 @@ func TestSkeletonServerEndToEnd(t *testing.T) {
 		t.Fatalf("first route = found %v hit %q, want an engine miss", first.Found, first.Hit)
 	}
 	second := skelRoute(t, ts.URL, PointDoc{X: 27, Y: 13, Floor: 0}, PointDoc{X: 7, Y: 36, Floor: 0}, "10:40")
-	if !second.Found || !second.CacheHit || second.Hit != "skeleton" {
-		t.Fatalf("second route = found %v cache_hit %v hit %q, want a skeleton composition",
-			second.Found, second.CacheHit, second.Hit)
+	if !second.Found || second.CacheHit || second.Hit != "miss" {
+		t.Fatalf("second route = found %v hit %q, want the engine miss that builds the family", second.Found, second.Hit)
 	}
-	if second.Path == nil || second.Path.LengthM <= 0 || len(second.Path.Doors) == 0 {
-		t.Fatalf("skeleton answer path = %+v", second.Path)
+	third := skelRoute(t, ts.URL, PointDoc{X: 34, Y: 6, Floor: 0}, PointDoc{X: 3, Y: 31, Floor: 0}, "10:45")
+	if !third.Found || !third.CacheHit || third.Hit != "skeleton" {
+		t.Fatalf("third route = found %v cache_hit %v hit %q, want a skeleton composition",
+			third.Found, third.CacheHit, third.Hit)
+	}
+	if third.Path == nil || third.Path.LengthM <= 0 || len(third.Path.Doors) == 0 {
+		t.Fatalf("skeleton answer path = %+v", third.Path)
 	}
 
 	// /statsz: the new hit class counts and the partition extends.

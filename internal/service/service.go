@@ -68,12 +68,14 @@ type Options struct {
 	// value (budgeted independently — see tcache).
 	WindowCapacity int
 	// SkeletonCache enables the point-free skeleton layer
-	// (core.SkeletonFamily in internal/tcache): the first engine miss
-	// on a (source partition, target partition) pair also builds the
-	// pair's door-to-door chain table for the departure's checkpoint
-	// slot, and a later query between ANY points of the same pair in
-	// the same slot is answered by composing first-leg + stored chain +
-	// last-leg (core.ComposeSkeletonPath) — byte-identical to a fresh
+	// (core.SkeletonFamily in internal/tcache): an engine miss on a
+	// (source partition, target partition) pair the pool has seen before
+	// (its hot-pair table, obs.TopK.Seen) also builds the pair's
+	// door-to-door chain table for the departure's checkpoint slot, so a
+	// pair queried once never pays for a family. A later query between
+	// ANY points of the same pair in the same slot is answered by
+	// composing first-leg + stored chain + last-leg
+	// (core.ComposeSkeletonPath) — byte-identical to a fresh
 	// search, no engine run. Compositions that cannot be certified fall
 	// through to an engine with obs.ReasonSkeletonUncertified
 	// provenance. Probe order: exact cache, point windows, skeletons,
@@ -329,10 +331,11 @@ type Pool struct {
 	reasonCounts [obs.NumReasons]atomic.Int64
 
 	// pairs is the always-on space-saving heavy-hitter table over
-	// (source partition, target partition) OD pairs — the evidence base
-	// for a door-to-door skeleton store (ROADMAP open item 1). Unlike
-	// the caches it survives SetGraph swaps: workload shape outlives
-	// any backend.
+	// (source partition, target partition) OD pairs. It also admits
+	// skeleton-family builds: a miss on a pair the pool has seen before
+	// builds (storeOutcome). Unlike the caches it survives SetGraph
+	// swaps — workload shape outlives any backend — so a hot pair
+	// rebuilds its family on its first miss after a swap.
 	pairs *obs.TopK
 
 	// effort* are the per-search engine-effort distributions (count
@@ -770,13 +773,16 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 }
 
 // storeOutcome feeds one computed outcome into the exact and window
-// caches, and — when the skeleton layer is on and the pair has no
-// family covering this departure yet — builds and stores the pair's
-// skeleton family, riding the same engine checkout (the build is part
-// of the triggering miss's cost; later same-pair queries compose
-// instead of searching). The engine that produced (or rebased) the
-// answer must still be checked out: the window derivation replays its
-// leg arithmetic and the family build runs its frozen Dijkstras.
+// caches. When the skeleton layer is on and the pair has no family
+// covering this departure yet, a miss on a pair the pool has seen
+// before (p.pairs.Seen — the caller feeds this query into the table
+// only afterwards) also builds and stores the pair's skeleton family,
+// riding the same engine checkout: the build is part of the triggering
+// miss's cost, and later same-pair queries compose instead of
+// searching. A pair queried once never pays for a family. The engine
+// that produced (or rebased) the answer must still be checked out: the
+// window derivation replays its leg arithmetic and the family build
+// runs its frozen Dijkstras.
 // Reports whether an insert was discarded by an epoch guard (an
 // invalidation ran while the search was in flight) — the epoch_raced
 // provenance.
@@ -799,7 +805,10 @@ func (p *Pool) storeOutcome(b *poolBackend, e *core.Engine, q core.Query, key ca
 		}
 	}
 	if cacheable && p.skeletonEnabled(b) && key.src != key.tgt && r.Err == nil {
-		if _, mk := b.windows.ProbeFamily(windowKey(key), ekey.at); mk != tcache.MissNone {
+		// Admission: this query is not yet fed into the pair table, so a
+		// seen pair means this miss is at least the pair's second query.
+		if _, mk := b.windows.ProbeFamily(windowKey(key), ekey.at); mk != tcache.MissNone &&
+			p.pairs.Seen(pairKeyOf(key)) {
 			if fam := e.BuildSkeletonFamily(key.src, key.tgt, ekey.at); fam != nil {
 				fe := &tcache.FamilyEntry{Window: fam.Window, Fam: fam, Stats: r.Stats}
 				// A losing insert against a concurrent same-slot build is
@@ -1308,33 +1317,26 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 
 // routePartitionGroup executes one SharedPartition group: members
 // sharing (source partition, target partition, departure, speed) but
-// not their exact endpoints, served sequentially so that the first
-// member's miss builds the pair's skeleton family (inside routeKeyed's
-// store stage) and every later member composes from it — a jittered
-// wave out of one hot lobby collapses to about one engine search. Each
-// member runs the full probe/engine/store path of a solo query, so
-// hit, miss and provenance accounting are identical to the unplanned
-// flow; members the family cannot certify fall back to dedicated
-// searches and are booked as singleton-group solo decisions (the
-// producer's search is not solo — the family it built IS the sharing).
+// not their exact endpoints, served sequentially so that a miss on a
+// pair the pool has seen before builds the pair's skeleton family
+// (inside routeKeyed's store stage) and every later member composes
+// from it. On a fresh pair that is the second member's miss, so a
+// jittered wave out of one hot lobby collapses to about two engine
+// searches. Each member runs the full probe/engine/store path of a solo
+// query, so hit, miss and provenance accounting are identical to the
+// unplanned flow. Only members whose probe found the family and could
+// not certify a composition (obs.ReasonSkeletonUncertified) are booked
+// as singleton-group solo decisions: the misses that ran before the
+// family existed are the ones that built it, which IS the sharing.
 func (p *Pool) routePartitionGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items []batchplan.Item,
 	grp *batchplan.Group, keys []cacheKey, ekeys []entryKey, out []Result) {
 
-	produced := false
 	for _, m := range grp.Members {
 		i := items[m].Index
-		r := p.routeKeyed(tr, b, qs[i], keys[i], ekeys[i], true)
-		out[i] = r
-		if r.CacheHit {
-			continue
+		out[i] = p.routeKeyed(tr, b, qs[i], keys[i], ekeys[i], true)
+		if out[i].Explain == obs.ReasonSkeletonUncertified {
+			p.reasonCounts[obs.ReasonSingletonGroup].Add(1)
 		}
-		if !produced {
-			// The group's first engine run: its store stage built the
-			// family the rest of the wave composes from.
-			produced = true
-			continue
-		}
-		p.reasonCounts[obs.ReasonSingletonGroup].Add(1)
 	}
 }
 
