@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"indoorpath/internal/geom"
@@ -48,21 +50,10 @@ func mallQueries(t testing.TB, n int) (*itgraph.Graph, []Query) {
 	}
 	v := m.Venue
 	rng := rand.New(rand.NewSource(14))
-	point := func() geom.Point {
-		for {
-			p := v.Partition(model.PartitionID(rng.Intn(v.PartitionCount())))
-			if p.Kind == model.OutdoorPartition || p.Rect.Area() <= 0 {
-				continue
-			}
-			pt := skelInterior(rng, p.Rect)
-			if at, ok := v.Locate(pt); ok && at == p.ID {
-				return pt
-			}
-		}
-	}
 	qs := make([]Query, n)
 	for i := range qs {
-		qs[i] = Query{Source: point(), Target: point(), At: temporal.TimeOfDay(rng.Float64() * float64(temporal.DaySeconds))}
+		qs[i] = Query{Source: indoorPoint(rng, v), Target: indoorPoint(rng, v),
+			At: temporal.TimeOfDay(rng.Float64() * float64(temporal.DaySeconds))}
 		if i%7 == 3 {
 			qs[i].Speed = 1.1
 		}
@@ -71,6 +62,21 @@ func mallQueries(t testing.TB, n int) (*itgraph.Graph, []Query) {
 		qs[5].At += temporal.DaySeconds // departures past midnight wrap
 	}
 	return itgraph.MustNew(v), qs
+}
+
+// indoorPoint draws a random point inside a random non-outdoor
+// partition of v that locates to that partition.
+func indoorPoint(rng *rand.Rand, v *model.Venue) geom.Point {
+	for {
+		p := v.Partition(model.PartitionID(rng.Intn(v.PartitionCount())))
+		if p.Kind == model.OutdoorPartition || p.Rect.Area() <= 0 {
+			continue
+		}
+		pt := skelInterior(rng, p.Rect)
+		if at, ok := v.Locate(pt); ok && at == p.ID {
+			return pt
+		}
+	}
 }
 
 func goldenRun(t *testing.T) string {
@@ -144,5 +150,85 @@ func goldenFamily(h hash.Hash, fam *SkeletonFamily) {
 		for _, l := range sk.Legs {
 			fmt.Fprintf(h, "%x,", math.Float64bits(l))
 		}
+	}
+}
+
+// goldenExtensionsDigest pins every answer of the two searches beside
+// ITSPQ — the earliest-arrival WaitingRouter and SingleSource — over
+// goldenExtensionsRun's inputs, at float64 bit precision. A search
+// change that moves any crossing, wait, length or distance changes it.
+const goldenExtensionsDigest = "ff0e372af057c9eba04089bc23922d5b66b2a452abf5964ceb7fd2d4fe83e1dc"
+
+// TestGoldenExtensionsDigest routes waiting queries and computes
+// distance maps over the mall preset, the hospital preset at departures
+// across the day and random grid venues, and compares the hash of all
+// results with goldenExtensionsDigest.
+func TestGoldenExtensionsDigest(t *testing.T) {
+	if got := goldenExtensionsRun(t); got != goldenExtensionsDigest {
+		t.Errorf("golden extensions digest = %s, want %s", got, goldenExtensionsDigest)
+	}
+}
+
+func goldenExtensionsRun(t *testing.T) string {
+	h := sha256.New()
+	run := func(g *itgraph.Graph, qs []Query, sources int) {
+		w := NewWaitingRouter(g)
+		for _, q := range qs {
+			p, err := w.Route(q)
+			goldenPath(h, p, SearchStats{}, err)
+		}
+		for _, q := range qs[:sources] {
+			dm, err := SingleSource(g, q.Source, q.At, q.Speed)
+			goldenDistances(h, dm, err)
+		}
+	}
+
+	g, qs := mallQueries(t, 100)
+	run(g, qs, 60)
+
+	// The hospital's wards admit visitors only 10:00–12:00 and
+	// 14:00–18:00, so many of these routes wait at a ward door.
+	hosp := synth.Hospital()
+	rng := rand.New(rand.NewSource(27))
+	qs = qs[:0]
+	for pair := 0; pair < 16; pair++ {
+		src, tgt := indoorPoint(rng, hosp), indoorPoint(rng, hosp)
+		for at := temporal.TimeOfDay(0); at < temporal.DaySeconds; at += 5400 {
+			qs = append(qs, Query{Source: src, Target: tgt, At: at + temporal.TimeOfDay(rng.Intn(600))})
+		}
+	}
+	rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	run(itgraph.MustNew(hosp), qs, 48)
+
+	for trial := 0; trial < 60; trial++ {
+		n := 3 + trial%2
+		v := randomVenue(t, rng, n, n)
+		side := float64(n) * 10
+		qs = qs[:0]
+		for probe := 0; probe < 8; probe++ {
+			qs = append(qs, Query{
+				Source: geom.Pt(rng.Float64()*side, rng.Float64()*side, 0),
+				Target: geom.Pt(rng.Float64()*side, rng.Float64()*side, 0),
+				At:     temporal.TimeOfDay(rng.Float64() * 86400),
+			})
+		}
+		run(itgraph.MustNew(v), qs, 2)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenDistances hashes a SingleSource outcome: the error, the
+// departure and every door and partition entry in ascending order.
+func goldenDistances(h hash.Hash, dm *DistanceMap, err error) {
+	fmt.Fprintf(h, "err=%v;", err)
+	if dm == nil {
+		return
+	}
+	fmt.Fprintf(h, "src=%v;at=%x;", dm.Source, math.Float64bits(float64(dm.At)))
+	for _, d := range slices.Sorted(maps.Keys(dm.Doors)) {
+		fmt.Fprintf(h, "d%d=%x,", d, math.Float64bits(dm.Doors[d]))
+	}
+	for _, p := range slices.Sorted(maps.Keys(dm.Partitions)) {
+		fmt.Fprintf(h, "p%d=%x,", p, math.Float64bits(dm.Partitions[p]))
 	}
 }
