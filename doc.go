@@ -69,22 +69,30 @@
 // # The search engine
 //
 // Every search an Engine runs — Route, the shared RouteMany and
-// RouteManyTo runs, and BuildSkeletonFamily — is one pass of a single
-// door-graph Dijkstra kernel (Algorithm 1). A search names four hooks:
-// its seed (a point, or an entry door for a skeleton build), its
-// target policy (Route's virtual target node, one best entry per
-// grouped query, or every anchor door of the target partition), its
-// direction (leave doors forward, or enter doors in reverse for a
-// destination-rooted run) and its door check (the method's TV_Check,
-// a skeleton slot's frozen openness, or none). The working set is flat:
-// per-door distance and parent slices, epoch stamps for the seen,
-// settled and visited marks, and a binary heap indexed by a slice, all
-// allocated on an engine's first search and reused by every later one.
-// A warm engine's Route allocates only the returned Path and its three
-// slices, and a skeleton build only the family and its chains. A
-// schedule change (Graph.WithSchedules) rebuilds the checkpoints and
-// snapshots but shares the distance matrices, which schedules do not
-// affect.
+// RouteManyTo runs, BuildSkeletonFamily, the WaitingRouter's earliest-
+// arrival search and SingleSource — is one pass of a single door-graph
+// Dijkstra kernel (Algorithm 1). A search names four hooks: its seed
+// (a point, or an entry door for a skeleton build), its target policy
+// (Route's virtual target node, one best entry per grouped query,
+// every anchor door of the target partition, or none for
+// SingleSource's run to exhaustion), its direction (leave doors
+// forward, or enter doors in reverse for a destination-rooted run) and
+// its door-crossing hook. The hook returns the label at which a door is
+// crossed, or refuses it: the walked distance when the method's
+// TV_Check or a skeleton slot's frozen openness lets the walker
+// through, and for the waiting search the crossing instant, the door's
+// next opening after the walk reaches it. So the waiting search's
+// labels are seconds of day, not metres; its path length is replayed
+// leg by leg along the answer. Only OracleShortest, the exhaustive
+// reference the tests compare against, keeps its own loop. The working
+// set is flat: per-door label and parent slices, epoch stamps for the
+// seen, settled and visited marks, and a binary heap indexed by a
+// slice, all allocated on an engine's first search and reused by every
+// later one. A warm engine's Route or waiting route allocates only the
+// returned Path and its three slices, and a skeleton build only the
+// family and its chains. A schedule change (Graph.WithSchedules)
+// rebuilds the checkpoints and snapshots but shares the distance
+// matrices, which schedules do not affect.
 //
 // # Concurrent serving
 //

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"errors"
-	"math"
-
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
-	"indoorpath/internal/pqueue"
 	"indoorpath/internal/temporal"
 )
 
@@ -52,41 +48,19 @@ func StaticThenValidate(g *itgraph.Graph, q Query) (*Path, error) {
 // WaitingRouter implements the extension the paper leaves as future
 // work (footnote 2): routing with waiting tolerance. The objective
 // changes from shortest distance to earliest arrival — a user reaching
-// a closed door may wait for its next opening. Labels are earliest
-// door-crossing instants; since waiting is allowed, arrival functions
-// are FIFO and label-setting Dijkstra is exact.
+// a closed door may wait for its next opening. The search is the
+// engine's kernel with crossing instants as labels: the root is the
+// departure instant, and a door is crossed at its next opening after
+// the walk reaches it. Since waiting is allowed, arrival functions are
+// FIFO and label-setting Dijkstra is exact. A router owns an engine,
+// so like an Engine it is not safe for concurrent use.
 type WaitingRouter struct {
-	g *itgraph.Graph
-	v *model.Venue
-
-	heap     *pqueue.Heap
-	arrive   map[int32]float64 // earliest crossing time (seconds of day)
-	walked   map[int32]float64 // walked metres along the label path
-	prevDoor map[int32]int32
-	prevPart map[int32]model.PartitionID
-	settled  map[int32]bool
+	engine *Engine
 }
 
 // NewWaitingRouter builds an earliest-arrival router for the graph.
 func NewWaitingRouter(g *itgraph.Graph) *WaitingRouter {
-	return &WaitingRouter{
-		g: g, v: g.Venue(),
-		heap:     pqueue.New(64),
-		arrive:   map[int32]float64{},
-		walked:   map[int32]float64{},
-		prevDoor: map[int32]int32{},
-		prevPart: map[int32]model.PartitionID{},
-		settled:  map[int32]bool{},
-	}
-}
-
-func (r *WaitingRouter) reset() {
-	r.heap.Reset()
-	clear(r.arrive)
-	clear(r.walked)
-	clear(r.prevDoor)
-	clear(r.prevPart)
-	clear(r.settled)
+	return &WaitingRouter{engine: NewEngine(g, Options{})}
 }
 
 // Route returns the earliest-arrival path from q.Source to q.Target
@@ -94,145 +68,58 @@ func (r *WaitingRouter) reset() {
 // returned path reports walked Length, per-door crossing times and
 // TotalWait. ErrNoRoute when the target is unreachable before midnight.
 func (r *WaitingRouter) Route(q Query) (*Path, error) {
-	srcPart, ok := r.v.Locate(q.Source)
-	if !ok {
-		return nil, errors.Join(ErrNotIndoor, errors.New("source"))
-	}
-	tgtPart, ok := r.v.Locate(q.Target)
-	if !ok {
-		return nil, errors.Join(ErrNotIndoor, errors.New("target"))
-	}
-	speed := q.speed()
-	t0 := float64(q.At.Mod())
-
-	r.reset()
-	srcH := int32(r.v.DoorCount())
-	tgtH := srcH + 1
-	r.arrive[srcH] = t0
-	r.walked[srcH] = 0
-	r.heap.Push(srcH, t0)
-
-	for {
-		item, ok := r.heap.Pop()
-		if !ok {
-			return nil, ErrNoRoute
-		}
-		h := item.Key
-		if h == tgtH {
-			return r.reconstruct(q, srcH, tgtH, tgtPart, speed), nil
-		}
-		if r.settled[h] {
-			continue
-		}
-		r.settled[h] = true
-
-		var anchor model.DoorID = model.NoDoor
-		var nexts []model.PartitionID
-		if h == srcH {
-			nexts = []model.PartitionID{srcPart}
-		} else {
-			anchor = model.DoorID(h)
-			nexts = r.v.NextPartitions(anchor, r.prevPart[h])
-		}
-		for _, w := range nexts {
-			if w == tgtPart {
-				var leg float64
-				if anchor == model.NoDoor {
-					leg = r.g.DM().PointToPoint(w, q.Source, q.Target)
-				} else {
-					leg = r.g.DM().PointToDoor(w, q.Target, anchor)
-				}
-				if !math.IsInf(leg, 1) {
-					cand := r.arrive[h] + leg/speed
-					if old, seen := r.arrive[tgtH]; !seen || cand < old {
-						r.arrive[tgtH] = cand
-						r.walked[tgtH] = r.walked[h] + leg
-						r.prevDoor[tgtH] = h
-						r.prevPart[tgtH] = w
-						r.heap.Push(tgtH, cand)
-					}
-				}
-				if anchor != model.NoDoor {
-					continue
-				}
-			}
-			if w != srcPart && w != tgtPart && r.v.Partition(w).Kind.IsPrivate() {
-				continue
-			}
-			r.relaxPartition(q, w, anchor, h, speed)
-		}
-	}
+	return r.engine.routeWaiting(q)
 }
 
-// relaxPartition relaxes every leaveable door of w from the anchor,
-// waiting at closed doors until their next opening. Unlike the
-// no-waiting engine, partitions are not marked visited: a later entry
-// through a different door can still improve other doors' labels, and
-// door-level settling keeps the search finite.
-func (r *WaitingRouter) relaxPartition(q Query, w model.PartitionID, anchor model.DoorID, h int32, speed float64) {
-	for _, dj := range r.v.LeaveDoors(w) {
-		hj := int32(dj)
-		if r.settled[hj] {
-			continue
-		}
-		var leg float64
-		if anchor == model.NoDoor {
-			leg = r.g.DM().PointToDoor(w, q.Source, dj)
-		} else {
-			leg = r.g.DM().Dist(w, anchor, dj)
-		}
-		if math.IsInf(leg, 1) {
-			continue
-		}
-		walkArr := r.arrive[h] + leg/speed
-		if walkArr >= float64(temporal.DaySeconds) {
-			continue // beyond the service day
-		}
-		cross, ok := r.v.Door(dj).ATIs.NextOpening(temporal.TimeOfDay(walkArr))
-		if !ok {
-			continue // never opens again today
-		}
-		cand := float64(cross)
-		if old, seen := r.arrive[hj]; !seen || cand < old {
-			r.arrive[hj] = cand
-			r.walked[hj] = r.walked[h] + leg
-			r.prevDoor[hj] = h
-			r.prevPart[hj] = w
-			r.heap.Push(hj, cand)
-		}
-	}
+// waitOpen is the waiting search's door crossing: walk the leg at the
+// query's speed, then wait for the door's next opening. A walk that
+// reaches the door at or after midnight, or a door that does not open
+// again that day, cannot cross.
+type waitOpen struct {
+	v     *model.Venue
+	speed float64
 }
 
-func (r *WaitingRouter) reconstruct(q Query, srcH, tgtH int32, tgtPart model.PartitionID, speed float64) *Path {
-	var doors []model.DoorID
-	var parts []model.PartitionID
-	var arrivals []temporal.TimeOfDay
-	for h := r.prevDoor[tgtH]; h != srcH; h = r.prevDoor[h] {
-		doors = append(doors, model.DoorID(h))
-		parts = append(parts, r.prevPart[h])
-		arrivals = append(arrivals, temporal.TimeOfDay(r.arrive[h]))
+func (c *waitOpen) cross(d model.DoorID, base, leg float64) (float64, bool) {
+	walk := base + leg/c.speed
+	if walk >= float64(temporal.DaySeconds) {
+		return 0, false
 	}
-	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
-		doors[i], doors[j] = doors[j], doors[i]
-		parts[i], parts[j] = parts[j], parts[i]
-		arrivals[i], arrivals[j] = arrivals[j], arrivals[i]
+	at, ok := c.v.Door(d).ATIs.NextOpening(temporal.TimeOfDay(walk))
+	return float64(at), ok
+}
+
+// routeWaiting runs WaitingRouter.Route's search. Labels are absolute
+// seconds of day, rooted at the departure instant, and doors leading
+// only into private partitions are relaxed too (search.everyDoor).
+// Since the labels are instants, the walked length is replayed leg by
+// leg along the answer's chain.
+func (e *Engine) routeWaiting(q Query) (*Path, error) {
+	srcPart, tgtPart, err := e.endpoints(q)
+	if err != nil {
+		return nil, err
 	}
-	parts = append(parts, tgtPart)
-	length := r.walked[tgtH]
-	arrivalTgt := temporal.TimeOfDay(r.arrive[tgtH])
-	wait := arrivalTgt - q.At.Mod() - temporal.TimeOfDay(length/speed)
-	if wait < 0 {
-		wait = 0
+	t0, speed := q.At.Mod(), q.speed()
+	st := e.state()
+	st.reset()
+	rootH := int32(e.v.DoorCount())
+	st.improve(rootH, float64(t0), rootH, model.NoPartition)
+	e.wait = waitOpen{v: e.v, speed: speed}
+	s := search{targets: toTarget, root: q.Source, rootPart: srcPart, target: q.Target, tgtPart: tgtPart,
+		speed: speed, cross: &e.wait, everyDoor: true}
+	var stats SearchStats
+	if !e.run(&s, &stats) {
+		return nil, ErrNoRoute
 	}
-	return &Path{
-		Source:       q.Source,
-		Target:       q.Target,
-		Doors:        doors,
-		Partitions:   parts,
-		Length:       length,
-		Arrivals:     arrivals,
-		ArrivalAtTgt: arrivalTgt,
-		DepartedAt:   q.At.Mod(),
-		TotalWait:    wait,
+	tgtH := rootH + 1
+	p := e.chainPath(q.Source, q.Target, st.prevDoor[tgtH], tgtPart, t0)
+	for i, d := range p.Doors {
+		p.Arrivals[i] = temporal.TimeOfDay(st.dist[d])
 	}
+	p.Length = e.walkedLength(p)
+	p.ArrivalAtTgt = temporal.TimeOfDay(st.dist[tgtH])
+	if wait := p.ArrivalAtTgt - t0 - temporal.TimeOfDay(p.Length/speed); wait > 0 {
+		p.TotalWait = wait
+	}
+	return p, nil
 }

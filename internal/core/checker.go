@@ -76,6 +76,14 @@ func (c *SynChecker) Begin(t temporal.TimeOfDay, speed float64) {
 // Check implements AccessChecker: tarr ← t + dist/velocity; return
 // tarr ∈ d.ATIs.
 func (c *SynChecker) Check(d model.DoorID, dist float64) bool {
+	_, ok := c.cross(d, dist, 0)
+	return ok
+}
+
+// cross implements doorCrossing: Check at the walked distance
+// base + leg, which is the label.
+func (c *SynChecker) cross(d model.DoorID, base, leg float64) (float64, bool) {
+	dist := base + leg
 	c.stats.Checks++
 	tarr := (c.t + temporal.TimeOfDay(dist/c.speed)).Mod()
 	c.stats.ATIProbes++
@@ -83,7 +91,7 @@ func (c *SynChecker) Check(d model.DoorID, dist float64) bool {
 	if ok {
 		c.stats.Passed++
 	}
-	return ok
+	return dist, ok
 }
 
 // Stats implements AccessChecker.
@@ -129,6 +137,14 @@ func (c *AsynChecker) Begin(t temporal.TimeOfDay, speed float64) {
 
 // Check implements AccessChecker.
 func (c *AsynChecker) Check(d model.DoorID, dist float64) bool {
+	_, ok := c.cross(d, dist, 0)
+	return ok
+}
+
+// cross implements doorCrossing: Check at the walked distance
+// base + leg, which is the label.
+func (c *AsynChecker) cross(d model.DoorID, base, leg float64) (float64, bool) {
+	dist := base + leg
 	c.stats.Checks++
 	tarr := (c.t + temporal.TimeOfDay(dist/c.speed)).Mod()
 	// Asyn_Check line 4: if the arrival falls outside the current
@@ -145,7 +161,7 @@ func (c *AsynChecker) Check(d model.DoorID, dist float64) bool {
 	if ok {
 		c.stats.Passed++
 	}
-	return ok
+	return dist, ok
 }
 
 // Stats implements AccessChecker.
@@ -179,6 +195,10 @@ type alwaysOpenChecker struct{ checks int }
 func (c *alwaysOpenChecker) Name() string                          { return "Static" }
 func (c *alwaysOpenChecker) Begin(_ temporal.TimeOfDay, _ float64) { c.checks = 0 }
 func (c *alwaysOpenChecker) Check(_ model.DoorID, _ float64) bool  { c.checks++; return true }
+func (c *alwaysOpenChecker) cross(_ model.DoorID, base, leg float64) (float64, bool) {
+	c.checks++
+	return base + leg, true
+}
 func (c *alwaysOpenChecker) Stats() CheckerStats {
 	return CheckerStats{Checks: c.checks, Passed: c.checks}
 }

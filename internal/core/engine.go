@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
 )
@@ -80,11 +81,12 @@ type SearchStats struct {
 }
 
 // Engine answers ITSPQ queries over one IT-Graph. Every search it runs
-// — Route, the shared RouteMany and RouteManyTo runs, skeleton builds —
-// is one pass of the search kernel (kernel.go) over the engine's
-// searchState: flat per-door slices and a slice-indexed heap, allocated
-// on the first search and reused by every later one. An Engine is
-// therefore NOT safe for concurrent use. The intended concurrent
+// — Route, the shared RouteMany and RouteManyTo runs, skeleton builds,
+// and the searches of a WaitingRouter and of SingleSource, which own an
+// engine each — is one pass of the search kernel (kernel.go) over the
+// engine's searchState: flat per-door slices and a slice-indexed heap,
+// allocated on the first search and reused by every later one. An
+// Engine is therefore NOT safe for concurrent use. The intended concurrent
 // deployment is one engine per goroutine over one shared Graph — the
 // graph, venue, distance matrices and snapshot series are all safe for
 // concurrent readers — and service.Pool packages exactly that pattern:
@@ -95,8 +97,10 @@ type Engine struct {
 	v       *model.Venue
 	opts    Options
 	checker AccessChecker
-	pruner  leavePruner // the checker's reduced leave lists, if it has them
-	frozen  slotOpen    // a skeleton build's door check
+	cross   doorCrossing // the checker's door crossing
+	pruner  leavePruner  // the checker's reduced leave lists, if it has them
+	frozen  slotOpen     // a skeleton build's door crossing
+	wait    waitOpen     // the waiting search's door crossing
 	st      *searchState
 }
 
@@ -115,6 +119,7 @@ func NewEngine(g *itgraph.Graph, opts Options) *Engine {
 	default:
 		e.checker = NewSynChecker(g)
 	}
+	e.cross = e.checker.(doorCrossing)
 	e.pruner, _ = e.checker.(leavePruner)
 	return e
 }
@@ -147,19 +152,15 @@ func (e *Engine) legDist(p model.PartitionID, a, b model.DoorID) float64 {
 // cases.
 func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 	stats := SearchStats{Method: e.checker.Name()}
-	srcPart, ok := e.v.Locate(q.Source)
-	if !ok {
-		return nil, stats, fmt.Errorf("%w: source %v", ErrNotIndoor, q.Source)
-	}
-	tgtPart, ok := e.v.Locate(q.Target)
-	if !ok {
-		return nil, stats, fmt.Errorf("%w: target %v", ErrNotIndoor, q.Target)
+	srcPart, tgtPart, err := e.endpoints(q)
+	if err != nil {
+		return nil, stats, err
 	}
 	t0 := q.At.Mod()
 	speed := q.speed()
 	e.begin(t0, speed, true)
 	s := search{targets: toTarget, root: q.Source, rootPart: srcPart, target: q.Target, tgtPart: tgtPart,
-		check: e.checker, prune: e.pruner != nil}
+		cross: e.cross, prune: e.pruner != nil}
 	if !e.run(&s, &stats) {
 		e.finishStats(&stats)
 		return nil, stats, ErrNoRoute
@@ -171,6 +172,23 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 	stats.PathLength = p.Length
 	e.finishStats(&stats)
 	return p, stats, nil
+}
+
+// endpoints locates q's source and target partitions. The error names
+// the endpoint and the point that no partition covers.
+func (e *Engine) endpoints(q Query) (src, tgt model.PartitionID, err error) {
+	if src, err = e.locate(q.Source, "source"); err == nil {
+		tgt, err = e.locate(q.Target, "target")
+	}
+	return src, tgt, err
+}
+
+// locate finds the partition of endpoint pt, named end in the error.
+func (e *Engine) locate(pt geom.Point, end string) (model.PartitionID, error) {
+	if part, ok := e.v.Locate(pt); ok {
+		return part, nil
+	}
+	return model.NoPartition, fmt.Errorf("%w: %s %v", ErrNotIndoor, end, pt)
 }
 
 // finishStats derives the aggregate counters of the search just run.

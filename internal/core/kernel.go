@@ -10,11 +10,13 @@ import (
 )
 
 // The search kernel: the one door-graph Dijkstra (Algorithm 1) behind
-// Route, the shared RouteMany and RouteManyTo runs and the skeleton
-// build. A search fixes its hooks up front — where it starts, what it
-// looks for, which way it walks arcs and how it checks doors. The
+// Route, the shared RouteMany and RouteManyTo runs, the skeleton build,
+// the waiting router and SingleSource. A search fixes its hooks up
+// front — where it starts, what it looks for, which way it walks arcs
+// and how it crosses doors. The heap orders labels: walked metres for
+// the ITSPQ methods, crossing instants for the waiting search. The
 // kernel applies the target policy per popped door and partition
-// entered, and picks the door list and door check per partition
+// entered, and picks the door list and door crossing per partition
 // entered, so one relaxation loop serves every caller.
 
 // targetPolicy is what a search looks for.
@@ -28,7 +30,8 @@ const (
 	// and stops once the frontier has passed every entry.
 	toGoals
 	// toAnchors records every door entering the target partition
-	// (searchState.anchors) and runs until the heap is exhausted.
+	// (searchState.anchors) and runs until the heap is exhausted; with
+	// no target partition it records nothing (SingleSource).
 	toAnchors
 )
 
@@ -44,6 +47,10 @@ type search struct {
 	rootPart model.PartitionID
 	// target is toTarget's target point.
 	target geom.Point
+	// speed is set only by the waiting search, whose labels are
+	// instants: its target leg adds leg/speed. Every other search's
+	// labels are walked metres.
+	speed float64
 	// tgtPart holds the answer's end: toTarget's target, toAnchors'
 	// anchors, a reverse run's root. It is never expanded from a door —
 	// a route entering it and leaving again is longer (convex cells,
@@ -51,17 +58,27 @@ type search struct {
 	// through their goals' partitions. rootPart and tgtPart are exempt
 	// from the privacy rule.
 	tgtPart model.PartitionID
-	// check is the per-door TV_Check; nil checks nothing.
-	check doorCheck
+	// cross is the per-door crossing; nil crosses every door at
+	// base + leg.
+	cross doorCrossing
 	// prune serves an expansion from the checker's reduced leave-door
 	// list when its whole arrival window fits one checkpoint slot.
 	prune bool
+	// everyDoor skips the early privacy prune (useful): SingleSource
+	// reports private partitions as destinations, and the waiting
+	// search keeps every relaxation, since each push shapes the heap's
+	// order among the ties its opening instants make.
+	everyDoor bool
 }
 
-// doorCheck is the kernel's per-door TV_Check hook: the engine's
-// AccessChecker for searches, slotOpen for skeleton builds.
-type doorCheck interface {
-	Check(d model.DoorID, dist float64) bool
+// doorCrossing is the kernel's per-door hook: the label at which a
+// walk that reaches door d by a leg from label base crosses it, or
+// false when it cannot. The ITSPQ checkers (the engine's AccessChecker)
+// return base + leg when their TV_Check passes; slotOpen does the same
+// for skeleton builds, and waitOpen returns the waiting search's
+// crossing instant.
+type doorCrossing interface {
+	cross(d model.DoorID, base, leg float64) (float64, bool)
 }
 
 // slotOpen is TV_Check under one checkpoint slot's frozen topology.
@@ -72,7 +89,9 @@ type slotOpen struct {
 	start temporal.TimeOfDay
 }
 
-func (c *slotOpen) Check(d model.DoorID, _ float64) bool { return c.v.Door(d).OpenAt(c.start) }
+func (c *slotOpen) cross(d model.DoorID, base, leg float64) (float64, bool) {
+	return base + leg, c.v.Door(d).OpenAt(c.start)
+}
 
 // goal is one grouped query of a shared run, updated with exactly
 // Route's virtual-target relaxation rule (strict improvement only,
@@ -274,7 +293,11 @@ func (e *Engine) enter(s *search, stats *SearchStats, w model.PartitionID, ancho
 	case toTarget:
 		if w == s.tgtPart {
 			tgtH := int32(e.v.DoorCount()) + 1
-			cand := base + e.pointLeg(s, w, anchor, s.target)
+			leg := e.pointLeg(s, w, anchor, s.target)
+			if s.speed > 0 {
+				leg /= s.speed
+			}
+			cand := base + leg
 			if (st.seen[tgtH] != st.epoch || cand < st.dist[tgtH]) && !math.IsInf(cand, 1) {
 				st.improve(tgtH, cand, h, w)
 				stats.Relaxations++
@@ -330,11 +353,11 @@ func (e *Engine) pointLeg(s *search, w model.PartitionID, anchor model.DoorID, p
 // (Algorithm 1 lines 25–34). With s.prune, an expansion whose whole
 // arrival window fits one checkpoint slot iterates the snapshot's
 // reduced leave-door list instead, pruning closed doors up front and
-// skipping the per-door check (exactly equivalent: listed doors are
+// skipping the per-door crossing (exactly equivalent: listed doors are
 // open throughout the slot).
 func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, anchor model.DoorID, h int32, base float64) {
 	st := e.st
-	doors, check := e.v.LeaveDoors(w), s.check
+	doors, cross := e.v.LeaveDoors(w), s.cross
 	if s.reverse {
 		doors = e.v.EnterDoors(w)
 	}
@@ -350,12 +373,12 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 			}
 		}
 		if pruned, exact := e.pruner.PrunedLeaveDoors(w, base, maxLeg); exact {
-			doors, check = pruned, nil
+			doors, cross = pruned, nil
 		}
 	}
 	for _, dj := range doors {
 		hj := int32(dj)
-		if st.settled[hj] == st.epoch || !e.useful(s, dj, w) {
+		if st.settled[hj] == st.epoch || (!s.everyDoor && !e.useful(s, dj, w)) {
 			continue
 		}
 		var leg float64
@@ -367,14 +390,17 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 		if math.IsInf(leg, 1) {
 			continue
 		}
-		distj := base + leg
-		// TV_Check (line 30; see DESIGN.md on the printed polarity).
-		if check != nil && !check.Check(dj, distj) {
-			continue
+		label := base + leg
+		if cross != nil {
+			// TV_Check (line 30; see DESIGN.md on the printed polarity).
+			var ok bool
+			if label, ok = cross.cross(dj, base, leg); !ok {
+				continue
+			}
 		}
 		stats.Relaxations++
-		if st.seen[hj] != st.epoch || distj < st.dist[hj] {
-			st.improve(hj, distj, h, w)
+		if st.seen[hj] != st.epoch || label < st.dist[hj] {
+			st.improve(hj, label, h, w)
 		}
 	}
 }
@@ -401,33 +427,58 @@ func (e *Engine) useful(s *search, d model.DoorID, w model.PartitionID) bool {
 func (e *Engine) path(src, tgt geom.Point, via int32, tgtPart model.PartitionID, length float64,
 	t0 temporal.TimeOfDay, speed float64) *Path {
 
+	p := e.chainPath(src, tgt, via, tgtPart, t0)
+	p.Length = length
+	p.ArrivalAtTgt = t0 + temporal.TimeOfDay(length/speed)
+	for i, d := range p.Doors {
+		p.Arrivals[i] = t0 + temporal.TimeOfDay(e.st.dist[d]/speed)
+	}
+	return p
+}
+
+// chainPath allocates a forward answer for the prev chain ending at
+// via: its doors, its partitions ending in tgtPart, and one arrival
+// slot per door for the caller to fill.
+func (e *Engine) chainPath(src, tgt geom.Point, via int32, tgtPart model.PartitionID, t0 temporal.TimeOfDay) *Path {
 	st := e.st
 	n := st.chainLen(via, int32(e.v.DoorCount()))
 	p := &Path{
-		Source:       src,
-		Target:       tgt,
-		Partitions:   make([]model.PartitionID, n+1),
-		Length:       length,
-		Arrivals:     make([]temporal.TimeOfDay, n),
-		ArrivalAtTgt: t0 + temporal.TimeOfDay(length/speed),
-		DepartedAt:   t0,
+		Source:     src,
+		Target:     tgt,
+		Partitions: make([]model.PartitionID, n+1),
+		Arrivals:   make([]temporal.TimeOfDay, n),
+		DepartedAt: t0,
 	}
 	if n > 0 {
 		p.Doors = make([]model.DoorID, n)
 	}
 	p.Partitions[n] = tgtPart
 	st.chain(via, p.Doors, p.Partitions)
-	for i, d := range p.Doors {
-		p.Arrivals[i] = t0 + temporal.TimeOfDay(st.dist[d]/speed)
-	}
 	return p
+}
+
+// walkedLength replays p's legs from p.Source to p.Target in path
+// order: the additions a forward search makes along p, in the order it
+// makes them, so the sum is bit-identical to that search's own. It
+// allocates nothing.
+func (e *Engine) walkedLength(p *Path) float64 {
+	n := len(p.Doors)
+	if n == 0 {
+		return e.g.DM().PointToPoint(p.Partitions[0], p.Source, p.Target)
+	}
+	d := e.g.DM().PointToDoor(p.Partitions[0], p.Source, p.Doors[0])
+	for i := 1; i < n; i++ {
+		d += e.legDist(p.Partitions[i], p.Doors[i-1], p.Doors[i])
+	}
+	return d + e.g.DM().PointToDoor(p.Partitions[n], p.Target, p.Doors[n-1])
 }
 
 // reversePath turns a reverse run's prev chain into a forward Path: the
 // chain from the entry door already reads source → target, and the
-// distances are re-accumulated forward (PathDistances), so every
-// float64 is the one a forward search would have produced even though
-// the reverse run summed in the opposite order.
+// length and distances are re-accumulated forward (walkedLength,
+// PathDistances), so every float64 is the one a forward search would
+// have produced even though the reverse run summed in the opposite
+// order.
 func (e *Engine) reversePath(src, tgt geom.Point, via int32, srcPart model.PartitionID,
 	t0 temporal.TimeOfDay, speed float64) *Path {
 
@@ -441,14 +492,9 @@ func (e *Engine) reversePath(src, tgt geom.Point, via int32, srcPart model.Parti
 			p.Doors[i], p.Partitions[i+1] = model.DoorID(h), st.prevPart[h]
 		}
 	}
-	dists := e.PathDistances(p, Query{Source: src})
-	if n == 0 {
-		p.Length = e.g.DM().PointToPoint(srcPart, src, tgt)
-	} else {
-		p.Length = dists[n-1] + e.g.DM().PointToDoor(p.Partitions[n], tgt, p.Doors[n-1])
-	}
+	p.Length = e.walkedLength(p)
 	p.Arrivals = make([]temporal.TimeOfDay, n)
-	for i, d := range dists {
+	for i, d := range e.PathDistances(p, Query{Source: src}) {
 		p.Arrivals[i] = t0 + temporal.TimeOfDay(d/speed)
 	}
 	p.ArrivalAtTgt = t0 + temporal.TimeOfDay(p.Length/speed)

@@ -24,12 +24,19 @@ func foundQuery(t testing.TB, e *Engine, qs []Query) (Query, model.PartitionID, 
 }
 
 // searchAllocs checks the kernel's allocation contract on a warm
-// engine: Route allocates only the returned Path and its three slices,
-// and BuildSkeletonFamily only the family, its chain list and each
-// chain (the Skeleton and its three slices).
+// engine: Route and a waiting route allocate only the returned Path and
+// its three slices, and BuildSkeletonFamily only the family, its chain
+// list and each chain (the Skeleton and its three slices).
 func searchAllocs(t testing.TB, e *Engine, q Query, sp, tp model.PartitionID) {
 	if n := testing.AllocsPerRun(20, func() { _, _, _ = e.Route(q) }); n != 4 {
 		t.Errorf("%s: Route allocates %v times, want 4", e.MethodName(), n)
+	}
+	w := NewWaitingRouter(e.g)
+	if p, err := w.Route(q); err != nil || p.Hops() < 2 {
+		t.Fatalf("waiting route of the found query: %v, %v; want two doors or more", p, err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = w.Route(q) }); n != 4 {
+		t.Errorf("WaitingRouter.Route allocates %v times, want 4", n)
 	}
 	fam := e.BuildSkeletonFamily(sp, tp, q.At)
 	if fam == nil {
@@ -87,6 +94,17 @@ func TestEpochWrapReuse(t *testing.T) {
 			tp, _ := v.Locate(q.Target)
 			same("BuildSkeletonFamily", e.BuildSkeletonFamily(sp, tp, q.At),
 				NewEngine(g, opts).BuildSkeletonFamily(sp, tp, q.At))
+
+			// The waiting search ignores the method's checker, so it
+			// runs on every method's engine.
+			wp, werr := e.routeWaiting(q)
+			fwp, fwerr := NewWaitingRouter(g).Route(q)
+			same("waiting Route", []any{wp, werr}, []any{fwp, fwerr})
+			if m == MethodSyn {
+				dm, err := e.singleSource(q.Source, q.At, q.Speed)
+				fdm, ferr := SingleSource(g, q.Source, q.At, q.Speed)
+				same("SingleSource", []any{dm, err}, []any{fdm, ferr})
+			}
 		}
 		if e.st.epoch > 1000 {
 			t.Fatalf("%v: epoch %d, the wrap did not happen", m, e.st.epoch)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"indoorpath/internal/geom"
 	"indoorpath/internal/model"
 	"indoorpath/internal/temporal"
@@ -64,9 +62,8 @@ type ManyOutcome struct {
 func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.TimeOfDay, speed float64) []ManyOutcome {
 	out := make([]ManyOutcome, len(targets))
 	name := e.checker.Name()
-	srcPart, ok := e.v.Locate(src)
-	if !ok {
-		err := fmt.Errorf("%w: source %v", ErrNotIndoor, src)
+	srcPart, err := e.locate(src, "source")
+	if err != nil {
 		for j := range out {
 			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: err}
 		}
@@ -76,11 +73,10 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 	st.goals = st.goals[:0]
 	var solo []int
 	for j, pt := range targets {
-		part, located := e.v.Locate(pt)
+		part, err := e.locate(pt, "target")
 		switch {
-		case !located:
-			out[j] = ManyOutcome{Stats: SearchStats{Method: name},
-				Err: fmt.Errorf("%w: target %v", ErrNotIndoor, pt)}
+		case err != nil:
+			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: err}
 		case e.opts.SinglePartitionExpansion || (e.v.Partition(part).Kind.IsPrivate() && part != srcPart):
 			// A private target partition is exempt from rule 2 only for
 			// its own query, so the shared expansion would be query-
@@ -102,7 +98,7 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 		// builds. Rule 2 needs no per-target exemption: grouped target
 		// partitions are never private.
 		e.runShared(&search{targets: toGoals, root: src, rootPart: srcPart, tgtPart: model.NoPartition,
-			check: e.checker, prune: e.pruner != nil}, at, speed, out)
+			cross: e.cross, prune: e.pruner != nil}, at, speed, out)
 	}
 	for _, j := range solo {
 		p, st, err := e.Route(Query{Source: src, Target: targets[j], At: at, Speed: speed})
@@ -165,21 +161,19 @@ func (e *Engine) runShared(s *search, at temporal.TimeOfDay, speed float64, out 
 func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.TimeOfDay, speed float64) []ManyOutcome {
 	out := make([]ManyOutcome, len(sources))
 	name := e.checker.Name()
-	tgtPart, tok := e.v.Locate(tgt)
+	tgtPart, tgtErr := e.locate(tgt, "target")
 	st := e.state()
 	st.goals = st.goals[:0]
 	var solo []int
 	for j, pt := range sources {
-		part, located := e.v.Locate(pt)
+		part, err := e.locate(pt, "source")
 		switch {
-		case !located:
+		case err != nil:
 			// Route checks the source first, so an unlocatable source
 			// wins over an unlocatable target.
-			out[j] = ManyOutcome{Stats: SearchStats{Method: name},
-				Err: fmt.Errorf("%w: source %v", ErrNotIndoor, pt)}
-		case !tok:
-			out[j] = ManyOutcome{Stats: SearchStats{Method: name},
-				Err: fmt.Errorf("%w: target %v", ErrNotIndoor, tgt)}
+			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: err}
+		case tgtErr != nil:
+			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: tgtErr}
 		case e.opts.Method != MethodStatic || e.opts.SinglePartitionExpansion ||
 			(e.v.Partition(part).Kind.IsPrivate() && part != tgtPart):
 			solo = append(solo, j)

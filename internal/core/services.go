@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
-	"indoorpath/internal/pqueue"
 	"indoorpath/internal/temporal"
 )
 
@@ -34,75 +32,45 @@ type DistanceMap struct {
 // departure time at to every reachable door and partition, under the
 // same semantics as ITSPQ (doors open on arrival, no waiting, no
 // private through-traffic). It is the one-to-all building block for
-// kNN and range queries.
+// kNN and range queries, and runs on a fresh ITG/S engine.
 func SingleSource(g *itgraph.Graph, src geom.Point, at temporal.TimeOfDay, speed float64) (*DistanceMap, error) {
-	v := g.Venue()
-	srcPart, ok := v.Locate(src)
-	if !ok {
-		return nil, ErrNotIndoor
+	return NewEngine(g, Options{}).singleSource(src, at, speed)
+}
+
+// singleSource runs SingleSource's search: the kernel run to exhaustion
+// with no target partition, relaxing doors into private partitions too
+// (search.everyDoor), which are reported but not passed through. The
+// map is read off the settled doors afterwards.
+func (e *Engine) singleSource(src geom.Point, at temporal.TimeOfDay, speed float64) (*DistanceMap, error) {
+	srcPart, err := e.locate(src, "source")
+	if err != nil {
+		return nil, err
 	}
 	if speed <= 0 {
 		speed = WalkingSpeedMPS
 	}
 	at = at.Mod()
-	checker := NewSynChecker(g)
-	checker.Begin(at, speed)
-
+	e.begin(at, speed, false)
+	var stats SearchStats
+	e.run(&search{targets: toAnchors, root: src, rootPart: srcPart, tgtPart: model.NoPartition,
+		cross: e.cross, everyDoor: true}, &stats)
+	st := e.st
 	dm := &DistanceMap{
 		Source:     src,
 		At:         at,
-		Doors:      map[model.DoorID]float64{},
+		Doors:      make(map[model.DoorID]float64, stats.Settled),
 		Partitions: map[model.PartitionID]float64{srcPart: 0},
 	}
-	prevPart := map[model.DoorID]model.PartitionID{}
-	settled := map[model.DoorID]bool{}
-	h := pqueue.New(64)
-
-	relax := func(w model.PartitionID, anchor model.DoorID, base float64) {
-		for _, dj := range v.LeaveDoors(w) {
-			if settled[dj] {
-				continue
-			}
-			var leg float64
-			if anchor == model.NoDoor {
-				leg = g.DM().PointToDoor(w, src, dj)
-			} else {
-				leg = g.DM().Dist(w, anchor, dj)
-			}
-			if math.IsInf(leg, 1) {
-				continue
-			}
-			cand := base + leg
-			if !checker.Check(dj, cand) {
-				continue
-			}
-			if old, seen := dm.Doors[dj]; !seen || cand < old {
-				dm.Doors[dj] = cand
-				prevPart[dj] = w
-				h.Push(int32(dj), cand)
-			}
-		}
-	}
-	relax(srcPart, model.NoDoor, 0)
-	for {
-		item, ok := h.Pop()
-		if !ok {
-			break
-		}
-		d := model.DoorID(item.Key)
-		if settled[d] {
+	for h := range int32(e.v.DoorCount()) {
+		if st.settled[h] != st.epoch {
 			continue
 		}
-		settled[d] = true
-		base := dm.Doors[d]
-		for _, w := range v.NextPartitions(d, prevPart[d]) {
-			if old, seen := dm.Partitions[w]; !seen || base < old {
-				dm.Partitions[w] = base
+		d, base := model.DoorID(h), st.dist[h]
+		dm.Doors[d] = base
+		for _, a := range e.v.Door(d).Arcs {
+			if old, seen := dm.Partitions[a.To]; a.From == st.prevPart[h] && (!seen || base < old) {
+				dm.Partitions[a.To] = base
 			}
-			if v.Partition(w).Kind.IsPrivate() && w != srcPart {
-				continue // enterable as a destination, not traversable
-			}
-			relax(w, d, base)
 		}
 	}
 	return dm, nil

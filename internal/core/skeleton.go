@@ -95,7 +95,7 @@ func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temp
 		slot = cps.SlotOf(at.Mod())
 		window = temporal.Interval{Open: cps.SlotStart(slot), Close: cps.SlotEnd(slot)}
 		e.frozen = slotOpen{v: e.v, start: window.Open}
-		s.check = &e.frozen
+		s.cross = &e.frozen
 	}
 	st := e.state()
 	rootH := int32(e.v.DoorCount())
@@ -103,7 +103,7 @@ func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temp
 	st.entries = append(st.entries[:0], e.v.LeaveDoors(srcPart)...)
 	slices.Sort(st.entries)
 	for _, a := range st.entries {
-		if (s.check != nil && !s.check.Check(a, 0)) || !e.useful(&s, a, srcPart) {
+		if (s.cross != nil && !e.v.Door(a).OpenAt(window.Open)) || !e.useful(&s, a, srcPart) {
 			continue
 		}
 		st.reset()

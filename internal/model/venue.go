@@ -148,21 +148,6 @@ func (v *Venue) NextPartitions(d DoorID, from PartitionID) []PartitionID {
 	return out
 }
 
-// PrevPartitions returns the partitions from which door d can be
-// crossed into partition to — the arc-exact reverse of NextPartitions,
-// used by destination-rooted (reverse) runs. One-way doors behave
-// correctly: an arc contributes its From side only when its To side
-// matches.
-func (v *Venue) PrevPartitions(d DoorID, to PartitionID) []PartitionID {
-	var out []PartitionID
-	for _, a := range v.doors[d].Arcs {
-		if a.To == to {
-			out = append(out, a.From)
-		}
-	}
-	return out
-}
-
 // CanCross reports whether door d permits the transition from → to.
 func (v *Venue) CanCross(d DoorID, from, to PartitionID) bool {
 	for _, a := range v.doors[d].Arcs {

@@ -262,12 +262,16 @@ func TestRouteCacheHitFlag(t *testing.T) {
 func TestRouteValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	url := ts.URL + "/v1/venues/hospital/route"
+	// Every method names the endpoint and the point outside the venue.
+	const notIndoor = "core: point is not covered by any partition: source (-500.00, -500.00, F0)"
+	outside := &PointDoc{X: -500, Y: -500}
 	cases := []struct {
 		name       string
 		body       any
 		raw        string // used instead of body when non-empty
 		wantStatus int
 		wantCode   string
+		wantMsg    string // checked when non-empty
 	}{
 		{name: "missing from", body: RouteRequest{To: &wardCentre, At: "11:00"}, wantStatus: 400, wantCode: "bad_request"},
 		{name: "missing to", body: RouteRequest{From: &erCentre, At: "11:00"}, wantStatus: 400, wantCode: "bad_request"},
@@ -278,6 +282,8 @@ func TestRouteValidation(t *testing.T) {
 		{name: "unknown field", raw: `{"fromm": {"x":1,"y":1,"floor":0}}`, wantStatus: 400, wantCode: "bad_request"},
 		{name: "malformed json", raw: `{"from": `, wantStatus: 400, wantCode: "bad_request"},
 		{name: "not indoor", body: RouteRequest{From: &PointDoc{X: -500, Y: -500}, To: &wardCentre, At: "11:00"}, wantStatus: 422, wantCode: "not_indoor"},
+		{name: "not indoor syn", body: RouteRequest{From: outside, To: &wardCentre, At: "11:00", Method: "syn"}, wantStatus: 422, wantCode: "not_indoor", wantMsg: notIndoor},
+		{name: "not indoor waiting", body: RouteRequest{From: outside, To: &wardCentre, At: "11:00", Method: "waiting"}, wantStatus: 422, wantCode: "not_indoor", wantMsg: notIndoor},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -299,6 +305,13 @@ func TestRouteValidation(t *testing.T) {
 			}
 			if code := errCode(t, raw); code != tc.wantCode {
 				t.Fatalf("code = %q, want %q", code, tc.wantCode)
+			}
+			if tc.wantMsg != "" {
+				var envelope struct{ Error ErrorDoc }
+				decodeInto(t, raw, &envelope)
+				if envelope.Error.Message != tc.wantMsg {
+					t.Fatalf("message = %q, want %q", envelope.Error.Message, tc.wantMsg)
+				}
 			}
 		})
 	}
