@@ -227,7 +227,12 @@
 // exact frontier position where its solo search would have popped the
 // virtual target node. Per-target rule-2 exemptions cannot be shared:
 // queries whose grouping-relevant endpoint partition is private run
-// solo. Answers are byte-identical to a sequential per-query engine
+// solo. Stairwells break the convex-cell model, since their doors span
+// floors and a point leg to a door on another floor is +Inf: a run
+// expanding through a stairwell settles its doors from inside and never
+// enters it through the door on the endpoint's floor. So queries whose
+// grouping-relevant endpoint lies in a stairwell run solo too, booked
+// as private_partition. Answers are byte-identical to a sequential per-query engine
 // whenever the shortest valid path is unique (under an exact
 // float-length tie a shared run may return the other, equally shortest
 // answer); shared answers feed the exact and window caches like any
@@ -473,8 +478,9 @@
 // the departure falls outside every cached interval), epoch_raced
 // (the answer was computed but a concurrent schedule update made it
 // unstorable) — and every plan member that ran a dedicated engine
-// search records why it could not share: private_partition,
-// singleton_group, or ablation (sharing disabled). Miss responses
+// search records why it could not share: private_partition (an
+// endpoint partition a shared run cannot expand through, private or a
+// stairwell), singleton_group, or ablation (sharing disabled). Miss responses
 // carry the code inline as "explain"; cumulative per-reason counters
 // ride /statsz ("reasons") and /metricsz
 // (indoorpath_reason_miss_total / indoorpath_reason_solo_total), and

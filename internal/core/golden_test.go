@@ -37,8 +37,8 @@ import (
 // recompute it. A change that only moves counters recomputes the
 // counter digest alone.
 const (
-	goldenAnswerDigest  = "82e37c8d6dfad4d96ea9990c0c688bb28ff7b72fdaa5c73e4ca786d493a991ca"
-	goldenCounterDigest = "ad6c54ce1cf1859c0c35a66f249697897d7c00347841b6bc5b32063feaee5b81"
+	goldenAnswerDigest  = "56e1fb46a075ae668bd4871243bd21f01ec964076eea16579d6e73dcb949db24"
+	goldenCounterDigest = "d3b994230b7f71d45acbde42f6780facb8f3a7f65ae8dfa42e9834a227d6ead9"
 )
 
 // TestGoldenDigest routes a fixed query set over the itspqd "mall"

@@ -31,10 +31,10 @@ import (
 // optimal). This is what lets the serving layer cache and serve shared
 // answers interchangeably with solo results. Targets (or sources) the shared
 // run cannot soundly cover — private endpoint partitions, whose rule-2
-// exemption is query-specific, or any query under the
-// SinglePartitionExpansion ablation, whose answers are not
-// expansion-order-free — are answered by internal per-query fallback
-// searches and flagged Solo.
+// exemption is query-specific, stairwell endpoint partitions, whose
+// doors span floors, or any query under the SinglePartitionExpansion
+// ablation, whose answers are not expansion-order-free — are answered
+// by internal per-query fallback searches and flagged Solo.
 
 // ManyOutcome is one query's answer from a shared run. Path and Err are
 // exactly what a solo Engine.Route would have returned for the query;
@@ -46,9 +46,9 @@ type ManyOutcome struct {
 	Stats SearchStats
 	Err   error
 	// Solo reports that this outcome came from an internal per-query
-	// fallback search rather than the shared run (private endpoint
-	// partition, SinglePartitionExpansion, or a temporal-method
-	// RouteManyTo). Callers metering engine work count one search per
+	// fallback search rather than the shared run (a private or
+	// stairwell endpoint partition, SinglePartitionExpansion, or a
+	// temporal-method RouteManyTo). Callers metering engine work count one search per
 	// Solo outcome plus one for the shared run (if any non-Solo,
 	// non-error outcome exists).
 	Solo bool
@@ -77,11 +77,11 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 		switch {
 		case err != nil:
 			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: err}
-		case e.opts.SinglePartitionExpansion || (e.v.Partition(part).Kind.IsPrivate() && part != srcPart):
-			// A private target partition is exempt from rule 2 only for
-			// its own query, so the shared expansion would be query-
-			// specific; the ablation's answers depend on expansion order.
-			// Both go to byte-identical-by-construction solo searches.
+		case e.opts.SinglePartitionExpansion || !e.expandable(part, srcPart):
+			// The ablation's answers depend on expansion order; a target
+			// partition the run cannot expand through needs Route's own
+			// search. Both go to byte-identical-by-construction solo
+			// searches.
 			solo = append(solo, j)
 		default:
 			st.goals = append(st.goals, goal{idx: j, pt: pt, part: part})
@@ -95,8 +95,9 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 		// NoPartition): under the convex-cell model a shortest route
 		// never leaves and re-enters its target's partition, so every
 		// per-target prev chain is the one the pruned solo search
-		// builds. Rule 2 needs no per-target exemption: grouped target
-		// partitions are never private.
+		// builds. Stairwells break that model, since their doors span
+		// floors, so their targets run solo. Rule 2 needs no per-target
+		// exemption: grouped target partitions are never private.
 		e.runShared(&search{targets: toGoals, root: src, rootPart: srcPart, tgtPart: model.NoPartition,
 			cross: e.cross, prune: e.pruner != nil}, at, speed, out)
 	}
@@ -105,6 +106,24 @@ func (e *Engine) RouteMany(src geom.Point, targets []geom.Point, at temporal.Tim
 		out[j] = ManyOutcome{Path: p, Stats: st, Err: err, Solo: true}
 	}
 	return out
+}
+
+// expandable reports whether a shared run, which expands through its
+// goals' partitions, can answer a goal in partition part of a query
+// whose other endpoint lies in root. A private partition is exempt from
+// rule 2 only for its own query, so expanding through it would be
+// query-specific. A stairwell's doors span floors, and a point leg to a
+// door on another floor is +Inf: expanding through the stairwell
+// settles its doors from inside, so the run never enters it through
+// the door on the goal's floor.
+func (e *Engine) expandable(part, root model.PartitionID) bool {
+	switch kind := e.v.Partition(part).Kind; {
+	case kind == model.StairwellPartition:
+		return false
+	case kind.IsPrivate():
+		return part == root
+	}
+	return true
 }
 
 // runShared runs the one shared search of RouteMany or RouteManyTo
@@ -157,7 +176,7 @@ func (e *Engine) runShared(s *search, at temporal.TimeOfDay, speed float64, out 
 // solo search). The temporal methods cannot soundly share a
 // destination-rooted run — TV_Check probes openness at the *forward*
 // walked distance, which differs per source — so they fall back to solo
-// routes per source, as do sources in private partitions.
+// routes per source, as do sources in private or stairwell partitions.
 func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.TimeOfDay, speed float64) []ManyOutcome {
 	out := make([]ManyOutcome, len(sources))
 	name := e.checker.Name()
@@ -174,8 +193,7 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: err}
 		case tgtErr != nil:
 			out[j] = ManyOutcome{Stats: SearchStats{Method: name}, Err: tgtErr}
-		case e.opts.Method != MethodStatic || e.opts.SinglePartitionExpansion ||
-			(e.v.Partition(part).Kind.IsPrivate() && part != tgtPart):
+		case e.opts.Method != MethodStatic || e.opts.SinglePartitionExpansion || !e.expandable(part, tgtPart):
 			solo = append(solo, j)
 		default:
 			st.goals = append(st.goals, goal{idx: j, pt: pt, part: part})
@@ -186,7 +204,8 @@ func (e *Engine) RouteManyTo(sources []geom.Point, tgt geom.Point, at temporal.T
 		// graph, rooted inside the target's partition, mirroring Route
 		// arc for arc. The target's partition is expanded only from the
 		// root (Route never expands through its target partition); rule
-		// 2 exempts it, and grouped source partitions are never private;
+		// 2 exempts it, and grouped source partitions are never private
+		// or stairwells;
 		// reverse-entering a grouped source's partition sets that
 		// source's candidate, the mirror image of Route's first
 		// expansion out of the source partition. No door is checked:

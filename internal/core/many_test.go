@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -276,5 +277,54 @@ func TestRouteManyEngineReusableAfter(t *testing.T) {
 	wantPath, _, wantErr := solo.Route(q)
 	if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotPath, wantPath) {
 		t.Fatalf("post-RouteMany Route diverged: %v/%v vs %v/%v", gotPath, gotErr, wantPath, wantErr)
+	}
+}
+
+// TestSharedRunsMatchRouteOnMall: over same-source groups of 8 mall
+// queries, stairwell targets included, RouteMany equals solo Route byte
+// for byte, and the static RouteManyTo over same-target groups agrees
+// with Route on found-or-not and, up to its reverse summation order, on
+// length.
+func TestSharedRunsMatchRouteOnMall(t *testing.T) {
+	g, qs := mallQueries(t, 1200)
+	v := g.Venue()
+	stairs := 0
+	for _, q := range qs {
+		if tp, _ := v.Locate(q.Target); v.Partition(tp).Kind == model.StairwellPartition {
+			stairs++
+		}
+	}
+	if stairs == 0 {
+		t.Fatal("no stairwell target among the queries")
+	}
+	for _, m := range manyMethods {
+		e := NewEngine(g, Options{Method: m})
+		solo := NewEngine(g, Options{Method: m})
+		for k := 0; k+8 <= len(qs); k += 8 {
+			group := qs[k : k+8]
+			tgts := make([]geom.Point, len(group))
+			srcs := make([]geom.Point, len(group))
+			for j, q := range group {
+				tgts[j], srcs[j] = q.Target, q.Source
+			}
+			src := group[0]
+			for j, o := range e.RouteMany(src.Source, tgts, src.At, src.Speed) {
+				q := Query{Source: src.Source, Target: tgts[j], At: src.At, Speed: src.Speed}
+				assertSameAsSolo(t, fmt.Sprintf("%v RouteMany group %d target %d", m, k/8, j), solo, q, o)
+			}
+			if m != MethodStatic {
+				continue
+			}
+			for j, o := range e.RouteManyTo(srcs, src.Target, src.At, src.Speed) {
+				q := Query{Source: srcs[j], Target: src.Target, At: src.At, Speed: src.Speed}
+				p, _, err := solo.Route(q)
+				if (o.Err == nil) != (err == nil) {
+					t.Fatalf("RouteManyTo group %d source %d: err = %v, solo err = %v", k/8, j, o.Err, err)
+				}
+				if err == nil && math.Abs(o.Path.Length-p.Length) > 1e-9*p.Length {
+					t.Fatalf("RouteManyTo group %d source %d: length %v, solo %v", k/8, j, o.Path.Length, p.Length)
+				}
+			}
+		}
 	}
 }

@@ -39,8 +39,9 @@ const (
 
 	// Solo reasons — why a member ran outside a shared engine run.
 
-	// ReasonPrivatePartition: a private endpoint partition blocked
-	// sharing (the paper's privacy rule).
+	// ReasonPrivatePartition: an endpoint partition a shared run cannot
+	// expand through blocked sharing: a private one (the paper's privacy
+	// rule) or a stairwell, whose doors span floors.
 	ReasonPrivatePartition
 	// ReasonSingletonGroup: the member's endpoint family had nothing
 	// to share with (singleton family, or caches absorbed the rest of

@@ -1294,9 +1294,10 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		r.Explain = reason
 		ps := obs.PairSample{Queries: 1}
 		if o.Solo {
-			// The run refused this member (privacy, or the ablation
-			// forbids shared expansion) and fell back to a dedicated
-			// search — already tallied in engineSearches above.
+			// The run refused this member (an endpoint partition it
+			// cannot expand through, or the ablation forbids shared
+			// expansion) and fell back to a dedicated search — already
+			// tallied in engineSearches above.
 			soloWhy := obs.ReasonPrivatePartition
 			if p.opts.Engine.SinglePartitionExpansion {
 				soloWhy = obs.ReasonAblation

@@ -15,6 +15,7 @@ import (
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
+	"indoorpath/internal/synth"
 	"indoorpath/internal/temporal"
 )
 
@@ -367,5 +368,49 @@ func TestSharedBatchRacingUpdateSchedules(t *testing.T) {
 	}
 	if sum.SharedRuns == 0 {
 		t.Fatalf("epilogue batch shared nothing: %+v", sum)
+	}
+}
+
+// TestSharedBatchStairwellTargetGoesSolo: a stairwell's doors span
+// floors, so a shared run cannot expand through a stairwell target's
+// partition. On the mall preset, a shared-source batch holding one
+// stairwell target answers it with one solo search, booked as
+// private_partition, and every answer equals solo Route.
+func TestSharedBatchStairwellTargetGoesSolo(t *testing.T) {
+	m, err := synth.GenerateMall(synth.MallConfig{Seed: 42, ATI: synth.ATIConfig{CheckpointCount: 8, Seed: 43}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := m.Venue
+	g := itgraph.MustNew(v)
+	src, stair := geom.Pt(795.98, 668.84, 3), geom.Pt(973.27, 629.29, 2)
+	if p, ok := v.Locate(stair); !ok || v.Partition(p).Kind != model.StairwellPartition {
+		t.Fatalf("%v does not locate to a stairwell", stair)
+	}
+	at := temporal.Clock(14, 47, 22)
+	qs := []core.Query{{Source: src, Target: stair, At: at}}
+	for p := 0; len(qs) < 5; p += 37 {
+		part := v.Partition(model.PartitionID(p))
+		if part.Kind != model.PublicPartition {
+			continue
+		}
+		r := part.Rect
+		qs = append(qs, core.Query{Source: src, Target: geom.Pt((r.MinX+r.MaxX)/2, (r.MinY+r.MaxY)/2, r.Floor), At: at})
+	}
+	pool := New(g, Options{SharedBatch: true, CacheCapacity: -1})
+	rs, sum := pool.RouteBatchSummary(qs)
+	seq := core.NewEngine(g, core.Options{})
+	for i, q := range qs {
+		wantPath, _, wantErr := seq.Route(q)
+		if i == 0 && wantErr != nil {
+			t.Fatalf("solo Route finds no path to the stairwell target: %v", wantErr)
+		}
+		sameOutcome(t, fmt.Sprintf("target %d", i), rs[i].Path, rs[i].Err, wantPath, wantErr)
+	}
+	if sum.Searches != 2 || sum.SharedRuns != 1 || sum.SharedAnswers != len(qs)-1 {
+		t.Fatalf("summary = %+v, want one shared run for the public targets and one solo search", sum)
+	}
+	if n := pool.Stats().Reasons.SoloPrivatePartition; n != 1 {
+		t.Fatalf("solo_private_partition = %d, want 1", n)
 	}
 }
