@@ -84,7 +84,12 @@
 // next opening after the walk reaches it. So the waiting search's
 // labels are seconds of day, not metres; its path length is replayed
 // leg by leg along the answer. Only OracleShortest, the exhaustive
-// reference the tests compare against, keeps its own loop. The working
+// reference the tests compare against, keeps its own loop. Every search
+// breaks ties one way: among equal labels a door, Route's virtual
+// target and a shared run's goal keep the lowest predecessor handle
+// (the source point ranks above every door), and the heap pops equal
+// keys in handle order. So an answer never depends on the order in
+// which a search pushed its doors. The working
 // set is flat: per-door label and parent slices, epoch stamps for the
 // seen, settled and visited marks, and a binary heap indexed by a
 // slice, all allocated on an engine's first search and reused by every
@@ -232,11 +237,14 @@
 // expanding through a stairwell settles its doors from inside and never
 // enters it through the door on the endpoint's floor. So queries whose
 // grouping-relevant endpoint lies in a stairwell run solo too, booked
-// as private_partition. Answers are byte-identical to a sequential per-query engine
-// whenever the shortest valid path is unique (under an exact
-// float-length tie a shared run may return the other, equally shortest
-// answer); shared answers feed the exact and window caches like any
-// search result. Stats.SharedRuns / SharedAnswers count the sharing,
+// as private_partition. RouteMany's answers are byte-identical to a
+// sequential per-query engine, exact ties included: the kernel breaks
+// every tie by one rule (see "The search engine"), which the shared run
+// applies at its goals as Route does at its target. A reverse
+// RouteManyTo run breaks ties from the target's end, so under an exact
+// float-length tie it may return the other, equally shortest answer.
+// Shared answers feed the exact and window caches like any search
+// result. Stats.SharedRuns / SharedAnswers count the sharing,
 // and BenchmarkPoolRouteBatchShared shows a 64-target fan-out served
 // by 1 engine search instead of 64.
 //

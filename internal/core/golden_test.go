@@ -37,8 +37,8 @@ import (
 // recompute it. A change that only moves counters recomputes the
 // counter digest alone.
 const (
-	goldenAnswerDigest  = "56e1fb46a075ae668bd4871243bd21f01ec964076eea16579d6e73dcb949db24"
-	goldenCounterDigest = "d3b994230b7f71d45acbde42f6780facb8f3a7f65ae8dfa42e9834a227d6ead9"
+	goldenAnswerDigest  = "9b5cadff574c1a33e521250ed2515dda01705230049a2946833c2dad59778071"
+	goldenCounterDigest = "9ed65e160b8ce0d57f839d56190b4a3a916ebb6536eec430c002fd5d4c5c93bc"
 )
 
 // TestGoldenDigest routes a fixed query set over the itspqd "mall"
@@ -186,7 +186,7 @@ func goldenFamily(h hash.Hash, fam *SkeletonFamily) {
 // ITSPQ — the earliest-arrival WaitingRouter and SingleSource — over
 // goldenExtensionsRun's inputs, at float64 bit precision. A search
 // change that moves any crossing, wait, length or distance changes it.
-const goldenExtensionsDigest = "3c3180409bec6b1d32c41b83803d2780087f2f647e5ba5767e94cf2ac50a1322"
+const goldenExtensionsDigest = "497cfacff0eac1631098a3123be456945055c10b2df647e2777a1f093dd60eaf"
 
 // TestGoldenExtensionsDigest routes waiting queries and computes
 // distance maps over the mall preset, the hospital preset at departures

@@ -18,6 +18,12 @@ import (
 // kernel applies the target policy per popped door and partition
 // entered, and picks the door list and door crossing per partition
 // entered, so one relaxation loop serves every caller.
+//
+// Ties resolve one way in every search. Among equal labels a handle,
+// the virtual target and a shared run's goal keep the lowest
+// predecessor handle, and the heap pops equal keys in handle order. So
+// an answer depends on which doors a search settles before its end,
+// not on the order it pushed them.
 
 // targetPolicy is what a search looks for.
 type targetPolicy uint8
@@ -94,8 +100,8 @@ func (c *slotOpen) cross(d model.DoorID, base, leg float64) (float64, bool) {
 }
 
 // goal is one grouped query of a shared run, updated with exactly
-// Route's virtual-target relaxation rule (strict improvement only,
-// anchors in settle order).
+// Route's virtual-target relaxation rule (a shorter label, or an equal
+// one through a lower predecessor handle).
 type goal struct {
 	idx  int // position in the caller's outcomes
 	pt   geom.Point
@@ -174,6 +180,13 @@ func (st *searchState) improve(h int32, d float64, via int32, w model.PartitionI
 	st.heap.Push(h, d)
 }
 
+// better reports whether label d reached from handle via improves
+// handle h: h has no label yet, d is shorter, or d ties through a lower
+// predecessor handle.
+func (st *searchState) better(h int32, d float64, via int32) bool {
+	return st.seen[h] != st.epoch || d < st.dist[h] || d == st.dist[h] && via < st.prevDoor[h]
+}
+
 // chainLen counts the doors on the prev chain from via back to root.
 func (st *searchState) chainLen(via, root int32) int {
 	n := 0
@@ -194,12 +207,13 @@ func (st *searchState) chain(via int32, doors []model.DoorID, parts []model.Part
 }
 
 // settleGoals marks the goals the frontier has passed and reports
-// whether none is pending. When the heap minimum reaches a seen goal's
-// distance, no later expansion can strictly improve it (legs are
-// non-negative) — the instant a solo Route would pop its target node.
+// whether none is pending. When the heap minimum passes a seen goal's
+// distance, no later expansion can reach it with an equal or shorter
+// label (legs are non-negative) — the instant a solo Route would pop
+// its target node, whose handle follows every door's at an equal key.
 func (st *searchState) settleGoals(frontier float64) bool {
 	for i := range st.goals {
-		if gl := &st.goals[i]; !gl.done && gl.seen && frontier >= gl.dist {
+		if gl := &st.goals[i]; !gl.done && gl.seen && frontier > gl.dist {
 			gl.done = true
 			st.pending--
 		}
@@ -298,7 +312,7 @@ func (e *Engine) enter(s *search, stats *SearchStats, w model.PartitionID, ancho
 				leg /= s.speed
 			}
 			cand := base + leg
-			if (st.seen[tgtH] != st.epoch || cand < st.dist[tgtH]) && !math.IsInf(cand, 1) {
+			if st.better(tgtH, cand, h) && !math.IsInf(cand, 1) {
 				st.improve(tgtH, cand, h, w)
 				stats.Relaxations++
 			}
@@ -310,7 +324,7 @@ func (e *Engine) enter(s *search, stats *SearchStats, w model.PartitionID, ancho
 				continue
 			}
 			cand := base + e.pointLeg(s, w, anchor, gl.pt)
-			if (!gl.seen || cand < gl.dist) && !math.IsInf(cand, 1) {
+			if (!gl.seen || cand < gl.dist || cand == gl.dist && h < gl.via) && !math.IsInf(cand, 1) {
 				gl.dist, gl.via, gl.seen = cand, h, true
 				stats.Relaxations++
 			}
@@ -399,7 +413,7 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 			}
 		}
 		stats.Relaxations++
-		if st.seen[hj] != st.epoch || label < st.dist[hj] {
+		if st.better(hj, label, h) {
 			st.improve(hj, label, h, w)
 		}
 	}

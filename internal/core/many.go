@@ -21,15 +21,18 @@ import (
 //     topology is time-invariant, so reversal is trivially sound); the
 //     temporal methods fall back to per-source solo routes.
 //
-// Both return answers byte-identical to what a solo Engine.Route would
-// produce for each query (same TV_Check semantics for syn/asyn/static)
-// whenever the query's shortest valid path is unique — the generic
-// case, and the condition real venues with irregular geometry satisfy.
-// Under an exact float-length tie between distinct door sequences a
-// shared run may tie-break differently than the solo heap and return
-// the other, equally shortest, answer (both validate; both are
-// optimal). This is what lets the serving layer cache and serve shared
-// answers interchangeably with solo results. Targets (or sources) the shared
+// RouteMany returns answers byte-identical to what a solo Engine.Route
+// would produce for each query (same TV_Check semantics for
+// syn/asyn/static), exact ties included: its goals take the kernel's
+// tie rule exactly as Route's target node does. RouteManyTo's answers
+// are byte-identical whenever the query's shortest valid path is
+// unique — the generic case, and the condition real venues with
+// irregular geometry satisfy. Under an exact float-length tie between
+// distinct door sequences its reverse run breaks the tie from the
+// target's end and may return the other, equally shortest, answer
+// (both validate; both are optimal). This is what lets the serving
+// layer cache and serve shared answers interchangeably with solo
+// results. Targets (or sources) the shared
 // run cannot soundly cover — private endpoint partitions, whose rule-2
 // exemption is query-specific, stairwell endpoint partitions, whose
 // doors span floors, or any query under the SinglePartitionExpansion

@@ -5,13 +5,20 @@
 //
 // Keys are non-negative int32 handles (door IDs plus the two sentinel
 // handles for the query's source and target points); priorities are
-// float64 distances.
+// float64 distances. Items are ordered by (priority, key), so the pop
+// order among equal priorities depends only on the keys queued, never
+// on the order of pushes.
 package pqueue
 
 // Item is one heap entry.
 type Item struct {
 	Key  int32
 	Prio float64
+}
+
+// less orders items by priority, then key.
+func (a Item) less(b Item) bool {
+	return a.Prio < b.Prio || a.Prio == b.Prio && a.Key < b.Key
 }
 
 // Heap is an indexed binary min-heap over int32 keys. The zero value is
@@ -75,8 +82,9 @@ func (h *Heap) Push(key int32, prio float64) {
 	}
 }
 
-// Pop removes and returns the minimum-priority item. ok is false when
-// the heap is empty.
+// Pop removes and returns the minimum item: the lowest priority, and
+// among equal priorities the lowest key. ok is false when the heap is
+// empty.
 func (h *Heap) Pop() (Item, bool) {
 	if len(h.items) == 0 {
 		return Item{}, false
@@ -129,7 +137,7 @@ func (h *Heap) up(i int) {
 	it := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Prio <= it.Prio {
+		if !it.less(h.items[parent]) {
 			break
 		}
 		h.place(i, h.items[parent])
@@ -148,10 +156,10 @@ func (h *Heap) down(i int) {
 		if small >= n {
 			break
 		}
-		if r := small + 1; r < n && h.items[r].Prio < h.items[small].Prio {
+		if r := small + 1; r < n && h.items[r].less(h.items[small]) {
 			small = r
 		}
-		if h.items[small].Prio >= it.Prio {
+		if !h.items[small].less(it) {
 			break
 		}
 		h.place(i, h.items[small])

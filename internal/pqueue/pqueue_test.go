@@ -168,6 +168,32 @@ func TestRandomisedAgainstReference(t *testing.T) {
 	}
 }
 
+// TestEqualPrioritiesPopByKey: with few distinct priorities, pushes
+// and priority updates in random order still pop in (priority, key)
+// order.
+func TestEqualPrioritiesPopByKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		h := New(0)
+		ref := map[int32]float64{}
+		for op := 0; op < 200; op++ {
+			k, p := int32(rng.Intn(64)), float64(rng.Intn(4))
+			h.Push(k, p)
+			ref[k] = p
+		}
+		want := make([]Item, 0, len(ref))
+		for k, p := range ref {
+			want = append(want, Item{Key: k, Prio: p})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].less(want[j]) })
+		for i, w := range want {
+			if it, _ := h.Pop(); it != w {
+				t.Fatalf("trial %d pop %d = %+v, want %+v", trial, i, it, w)
+			}
+		}
+	}
+}
+
 func BenchmarkHeapPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	prios := make([]float64, 1024)
