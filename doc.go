@@ -89,15 +89,37 @@
 // target and a shared run's goal keep the lowest predecessor handle
 // (the source point ranks above every door), and the heap pops equal
 // keys in handle order. So an answer never depends on the order in
-// which a search pushed its doors. The working
-// set is flat: per-door label and parent slices, epoch stamps for the
-// seen, settled and visited marks, and a binary heap indexed by a
-// slice, all allocated on an engine's first search and reused by every
-// later one. A warm engine's Route or waiting route allocates only the
-// returned Path and its three slices, and a skeleton build only the
-// family and its chains. A schedule change (Graph.WithSchedules)
-// rebuilds the checkpoints and snapshots but shares the distance
-// matrices, which schedules do not affect.
+// which a search pushed its doors.
+//
+// Route is goal-directed (A*): its heap key for a door is the walked
+// distance plus a lower bound on the distance still to walk, h(door) =
+// α · (XY distance to the target + c · |floor difference|), and the
+// target node's key is its walked distance. dmat.Build derives c, the
+// smallest cross-floor matrix entry per floor changed, and α, the
+// largest factor ≤ 1 that keeps every matrix entry at or above the
+// bound, in the same pass that builds the matrices, and
+// Graph.WithSchedules shares both with them; on the mall c = 20 m and
+// α = 1. Point legs are planar on one floor, so they satisfy the bound
+// as well. The bound is consistent, so every door settles with the
+// label Algorithm 1 gives it and every TV_Check sees the same arrival;
+// with the tie rule the answers are byte-identical, and only the effort
+// counters fall (about 3× fewer pops on the mall). α is shrunk by a
+// relative margin of 1e-9: with α exactly 1, doors on one line make a
+// predecessor's key equal its successor's in real numbers, and float
+// rounding can invert the two. Options.NoGoalBound restores Algorithm
+// 1's order, which the paper's figures measure. Every other search —
+// RouteMany, RouteManyTo, skeleton builds, the waiting search,
+// SingleSource, and Route under the SinglePartitionExpansion ablation,
+// whose answers depend on expansion order — keeps the plain order.
+//
+// The working set is flat: per-door label and parent slices, epoch
+// stamps for the seen, settled and visited marks, and a binary heap
+// indexed by a slice, all allocated on an engine's first search and
+// reused by every later one. A warm engine's Route or waiting route
+// allocates only the returned Path and its three slices, and a skeleton
+// build only the family and its chains. A schedule change
+// (Graph.WithSchedules) rebuilds the checkpoints and snapshots but
+// shares the distance matrices, which schedules do not affect.
 //
 // # Concurrent serving
 //

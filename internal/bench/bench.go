@@ -81,6 +81,14 @@ type Measurement struct {
 	AvgPops, AvgChecks float64
 }
 
+// alg1 sets Algorithm 1's pop order (core.Options.NoGoalBound): the
+// figures and ablations A1–A6 measure the paper's search, whose effort
+// counters Route's goal-directed order would change.
+func alg1(opts core.Options) core.Options {
+	opts.NoGoalBound = true
+	return opts
+}
+
 // measure runs every query RunsPerQuery times on a fresh engine and
 // averages. One untimed warmup pass absorbs lazily built snapshots
 // (Graph_Update amortises across queries in the paper's asynchronous

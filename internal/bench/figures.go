@@ -44,10 +44,10 @@ func RunFig4(cfg Config) (*FigureData, error) {
 			opts core.Options
 			qs   []core.Query
 		}{
-			{core.Options{Method: core.MethodSyn}, qNoon},
-			{core.Options{Method: core.MethodAsyn}, qNoon},
-			{core.Options{Method: core.MethodSyn}, qMorn},
-			{core.Options{Method: core.MethodAsyn}, qMorn},
+			{alg1(core.Options{Method: core.MethodSyn}), qNoon},
+			{alg1(core.Options{Method: core.MethodAsyn}), qNoon},
+			{alg1(core.Options{Method: core.MethodSyn}), qMorn},
+			{alg1(core.Options{Method: core.MethodAsyn}), qMorn},
 		} {
 			m := measure(tb.graph, run.opts, run.qs, cfg.RunsPerQuery)
 			fd.set(si, xi, m, m.AvgTimeUS)
@@ -72,7 +72,7 @@ func RunFig5(cfg Config) (*FigureData, error) {
 			return nil, fmt.Errorf("bench fig5 δ=%v: %w", s2t, err)
 		}
 		for si, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
-			meas := measure(tb.graph, core.Options{Method: m}, tb.queries, cfg.RunsPerQuery)
+			meas := measure(tb.graph, alg1(core.Options{Method: m}), tb.queries, cfg.RunsPerQuery)
 			fd.set(si, xi, meas, meas.AvgTimeUS)
 		}
 	}
@@ -99,7 +99,7 @@ func RunFig6And7(cfg Config) (timeFig, memFig *FigureData, err error) {
 	for xi, at := range TimeGrid {
 		qs := tb.atTime(at)
 		for si, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
-			meas := measure(tb.graph, core.Options{Method: m}, qs, cfg.RunsPerQuery)
+			meas := measure(tb.graph, alg1(core.Options{Method: m}), qs, cfg.RunsPerQuery)
 			timeFig.set(si, xi, meas, meas.AvgTimeUS)
 			memFig.set(si, xi, meas, meas.AvgEstBytes/1024)
 		}
@@ -118,8 +118,8 @@ func RunAblationHeapInit(cfg Config) (*FigureData, error) {
 		return nil, err
 	}
 	for xi, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
-		lazy := measure(tb.graph, core.Options{Method: m}, tb.queries, cfg.RunsPerQuery)
-		eager := measure(tb.graph, core.Options{Method: m, EagerHeapInit: true}, tb.queries, cfg.RunsPerQuery)
+		lazy := measure(tb.graph, alg1(core.Options{Method: m}), tb.queries, cfg.RunsPerQuery)
+		eager := measure(tb.graph, alg1(core.Options{Method: m, EagerHeapInit: true}), tb.queries, cfg.RunsPerQuery)
 		fd.set(0, xi, lazy, lazy.AvgTimeUS)
 		fd.set(1, xi, eager, eager.AvgTimeUS)
 	}
@@ -136,8 +136,8 @@ func RunAblationDM(cfg Config) (*FigureData, error) {
 	if err != nil {
 		return nil, err
 	}
-	withDM := measure(tb.graph, core.Options{Method: core.MethodSyn}, tb.queries, cfg.RunsPerQuery)
-	noDM := measure(tb.graph, core.Options{Method: core.MethodSyn, NoDistanceMatrix: true}, tb.queries, cfg.RunsPerQuery)
+	withDM := measure(tb.graph, alg1(core.Options{Method: core.MethodSyn}), tb.queries, cfg.RunsPerQuery)
+	noDM := measure(tb.graph, alg1(core.Options{Method: core.MethodSyn, NoDistanceMatrix: true}), tb.queries, cfg.RunsPerQuery)
 	fd.set(0, 0, withDM, withDM.AvgTimeUS)
 	fd.set(1, 0, noDM, noDM.AvgTimeUS)
 	return fd, nil
@@ -156,8 +156,8 @@ func RunAblationPartitionExpansion(cfg Config) (*FigureData, error) {
 		return nil, err
 	}
 	for xi, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
-		exact := measure(tb.graph, core.Options{Method: m}, tb.queries, cfg.RunsPerQuery)
-		literal := measure(tb.graph, core.Options{Method: m, SinglePartitionExpansion: true}, tb.queries, cfg.RunsPerQuery)
+		exact := measure(tb.graph, alg1(core.Options{Method: m}), tb.queries, cfg.RunsPerQuery)
+		literal := measure(tb.graph, alg1(core.Options{Method: m, SinglePartitionExpansion: true}), tb.queries, cfg.RunsPerQuery)
 		fd.set(0, xi, exact, exact.AvgTimeUS)
 		fd.set(1, xi, literal, literal.AvgTimeUS)
 	}
@@ -187,8 +187,8 @@ func PathQualityComparison(cfg Config) (exactAvg, literalAvg float64, err error)
 		}
 		return total / float64(n)
 	}
-	return sum(core.Options{Method: core.MethodSyn}),
-		sum(core.Options{Method: core.MethodSyn, SinglePartitionExpansion: true}), nil
+	return sum(alg1(core.Options{Method: core.MethodSyn})),
+		sum(alg1(core.Options{Method: core.MethodSyn, SinglePartitionExpansion: true})), nil
 }
 
 // RunAblationFloors measures search time as the venue grows (A5).
@@ -212,7 +212,7 @@ func RunAblationFloors(cfg Config, floors []int) (*FigureData, error) {
 			return nil, fmt.Errorf("bench a5 floors=%d: %w", f, err)
 		}
 		for si, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
-			meas := measure(tb.graph, core.Options{Method: m}, tb.queries, cfg.RunsPerQuery)
+			meas := measure(tb.graph, alg1(core.Options{Method: m}), tb.queries, cfg.RunsPerQuery)
 			fd.set(si, xi, meas, meas.AvgTimeUS)
 		}
 	}

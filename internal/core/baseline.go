@@ -103,7 +103,7 @@ func (e *Engine) routeWaiting(q Query) (*Path, error) {
 	st := e.state()
 	st.reset()
 	rootH := int32(e.v.DoorCount())
-	st.improve(rootH, float64(t0), rootH, model.NoPartition)
+	st.improve(rootH, float64(t0), float64(t0), rootH, model.NoPartition)
 	e.wait = waitOpen{v: e.v, speed: speed}
 	s := search{targets: toTarget, root: q.Source, rootPart: srcPart, target: q.Target, tgtPart: tgtPart,
 		speed: speed, cross: &e.wait, everyDoor: true}

@@ -35,7 +35,8 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", uint8(m))
 }
 
-// Options tune the engine; the zero value is the paper's ITG/S.
+// Options tune the engine. The zero value gives the paper's ITG/S
+// answers, found in Route's goal-directed order (see NoGoalBound).
 type Options struct {
 	Method Method
 	// EagerHeapInit enheaps every door with distance ∞ up front, the
@@ -56,6 +57,15 @@ type Options struct {
 	// (exact door-graph Dijkstra, Lu et al. 2012); ablation A6 measures
 	// the difference. See DESIGN.md interpretation note 8.
 	SinglePartitionExpansion bool
+	// NoGoalBound restores Algorithm 1's pop order in Route. By default
+	// Route keys its heap by the walked distance plus a consistent
+	// lower bound on the distance still to walk (dmat.Bound), so it
+	// settles far fewer doors; the answers are identical, only the
+	// effort counters change. The paper's figures measure Algorithm 1,
+	// and ablation A7 measures the difference. The other searches, and
+	// Route under SinglePartitionExpansion, whose answers depend on
+	// expansion order, always keep the plain order.
+	NoGoalBound bool
 }
 
 // SearchStats describes one query execution for the experiment harness
@@ -160,7 +170,8 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 	speed := q.speed()
 	e.begin(t0, speed, true)
 	s := search{targets: toTarget, root: q.Source, rootPart: srcPart, target: q.Target, tgtPart: tgtPart,
-		cross: e.cross, prune: e.pruner != nil}
+		cross: e.cross, prune: e.pruner != nil,
+		goal: !e.opts.NoGoalBound && !e.opts.SinglePartitionExpansion, bound: e.g.DM().Bound()}
 	if !e.run(&s, &stats) {
 		e.finishStats(&stats)
 		return nil, stats, ErrNoRoute

@@ -38,7 +38,7 @@ import (
 // counter digest alone.
 const (
 	goldenAnswerDigest  = "9b5cadff574c1a33e521250ed2515dda01705230049a2946833c2dad59778071"
-	goldenCounterDigest = "9ed65e160b8ce0d57f839d56190b4a3a916ebb6536eec430c002fd5d4c5c93bc"
+	goldenCounterDigest = "3978be8b9a4b74dcfad9fe96e472604f69978632cc1c38d260d95e23ead5cab6"
 )
 
 // TestGoldenDigest routes a fixed query set over the itspqd "mall"

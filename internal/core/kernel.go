@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"indoorpath/internal/dmat"
 	"indoorpath/internal/geom"
 	"indoorpath/internal/model"
 	"indoorpath/internal/pqueue"
@@ -14,7 +15,8 @@ import (
 // the waiting router and SingleSource. A search fixes its hooks up
 // front — where it starts, what it looks for, which way it walks arcs
 // and how it crosses doors. The heap orders labels: walked metres for
-// the ITSPQ methods, crossing instants for the waiting search. The
+// the ITSPQ methods, crossing instants for the waiting search; Route
+// adds a lower bound on the metres still to walk (search.goal). The
 // kernel applies the target policy per popped door and partition
 // entered, and picks the door list and door crossing per partition
 // entered, so one relaxation loop serves every caller.
@@ -75,6 +77,11 @@ type search struct {
 	// search keeps every relaxation, since each push shapes the heap's
 	// order among the ties its opening instants make.
 	everyDoor bool
+	// goal keys the heap by a door's label plus bound.Dist from the
+	// door to the target, and the target node by its label: Route's
+	// goal-directed order. Every label stays a walked distance.
+	goal  bool
+	bound dmat.Bound
 }
 
 // doorCrossing is the kernel's per-door hook: the label at which a
@@ -170,14 +177,14 @@ func (st *searchState) reset() {
 }
 
 // improve records distance d for handle h, reached through partition w
-// from handle via, and queues h.
-func (st *searchState) improve(h int32, d float64, via int32, w model.PartitionID) {
+// from handle via, and queues h with heap key key.
+func (st *searchState) improve(h int32, d, key float64, via int32, w model.PartitionID) {
 	if st.seen[h] != st.epoch {
 		st.seen[h] = st.epoch
 		st.touched++
 	}
 	st.dist[h], st.prevDoor[h], st.prevPart[h] = d, via, w
-	st.heap.Push(h, d)
+	st.heap.Push(h, key)
 }
 
 // better reports whether label d reached from handle via improves
@@ -246,7 +253,7 @@ func (e *Engine) begin(t0 temporal.TimeOfDay, speed float64, withTarget bool) {
 			st.heap.Push(rootH+1, inf)
 		}
 	}
-	st.improve(rootH, 0, rootH, model.NoPartition)
+	st.improve(rootH, 0, 0, rootH, model.NoPartition)
 }
 
 // run is the kernel loop. It reports whether the search met its end
@@ -313,7 +320,7 @@ func (e *Engine) enter(s *search, stats *SearchStats, w model.PartitionID, ancho
 			}
 			cand := base + leg
 			if st.better(tgtH, cand, h) && !math.IsInf(cand, 1) {
-				st.improve(tgtH, cand, h, w)
+				st.improve(tgtH, cand, cand, h, w)
 				stats.Relaxations++
 			}
 		}
@@ -414,7 +421,11 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 		}
 		stats.Relaxations++
 		if st.better(hj, label, h) {
-			st.improve(hj, label, h, w)
+			key := label
+			if s.goal {
+				key += s.bound.Dist(e.v.Door(dj).Pos, s.target)
+			}
+			st.improve(hj, label, key, h, w)
 		}
 	}
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"indoorpath/internal/geom"
+	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
+	"indoorpath/internal/temporal"
 )
 
 // foundQuery returns the first query e answers with at least one door,
@@ -112,24 +116,94 @@ func TestEpochWrapReuse(t *testing.T) {
 	}
 }
 
+// TestGoalBoundMovesNoAnswer: Route in the goal-directed order returns
+// exactly the path and error of Route in Algorithm 1's order
+// (NoGoalBound), for every method, on the mall and on both grid
+// generators. On the midpoint-door grid every third query runs between
+// cell centres, where symmetric detours tie exactly.
+func TestGoalBoundMovesNoAnswer(t *testing.T) {
+	found := 0
+	check := func(label string, g *itgraph.Graph, qs []Query) {
+		t.Helper()
+		for _, m := range manyMethods {
+			goal := NewEngine(g, Options{Method: m})
+			plain := NewEngine(g, Options{Method: m, NoGoalBound: true})
+			for i, q := range qs {
+				p, _, err := goal.Route(q)
+				wp, _, werr := plain.Route(q)
+				if !reflect.DeepEqual(p, wp) || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("%s %v query %d: goal-directed %v, %v; plain %v, %v", label, m, i, p, err, wp, werr)
+				}
+				if err == nil {
+					found++
+				}
+			}
+		}
+	}
+	g, qs := mallQueries(t, 3000)
+	check("mall", g, qs)
+
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 150; trial++ {
+		rows, cols := 3+rng.Intn(4), 3+rng.Intn(4)
+		w, h := float64(cols)*10, float64(rows)*10
+		qs = qs[:0]
+		for i := 0; i < 20; i++ {
+			q := Query{
+				Source: geom.Pt(rng.Float64()*w, rng.Float64()*h, 0),
+				Target: geom.Pt(rng.Float64()*w, rng.Float64()*h, 0),
+				At:     temporal.TimeOfDay(rng.Intn(86400)),
+			}
+			if i%3 == 0 {
+				q.Source = geom.Pt(float64(rng.Intn(cols))*10+5, float64(rng.Intn(rows))*10+5, 0)
+				q.Target = geom.Pt(float64(rng.Intn(cols))*10+5, float64(rng.Intn(rows))*10+5, 0)
+			}
+			qs = append(qs, q)
+		}
+		check(fmt.Sprintf("midpoint grid %d", trial), itgraph.MustNew(randomVenue(t, rng, rows, cols)), qs)
+		check(fmt.Sprintf("jittered grid %d", trial), itgraph.MustNew(manyGridVenue(t, rng, rows, cols)), qs)
+	}
+	if found < 9000 {
+		t.Fatalf("only %d of 27,000 answers found a path", found)
+	}
+}
+
+// meanPops is the mean heap pops of e's Route over qs.
+func meanPops(e *Engine, qs []Query) float64 {
+	pops := 0
+	for _, q := range qs {
+		_, st, _ := e.Route(q)
+		pops += st.Pops
+	}
+	return float64(pops) / float64(len(qs))
+}
+
 // BenchmarkEngineSearch times one Route plus one skeleton-family build
 // per op on the mall preset, the work an uncached answer costs. It
 // self-checks the allocation contract of the search kernel first (see
-// searchAllocs), so a regression fails the bench run.
+// searchAllocs), and that Route's goal bound at least halves its mean
+// heap pops against Algorithm 1's order on 200 mall queries, so a
+// regression of either fails the bench run.
 func BenchmarkEngineSearch(b *testing.B) {
-	g, qs := mallQueries(b, 20)
+	g, qs := mallQueries(b, 200)
 	g.Snapshots().BuildAll()
 	for _, m := range []Method{MethodSyn, MethodAsyn, MethodStatic} {
 		b.Run(m.String(), func(b *testing.B) {
 			e := NewEngine(g, Options{Method: m})
 			q, sp, tp := foundQuery(b, e, qs)
 			searchAllocs(b, e, q, sp, tp)
+			goal, plain := meanPops(e, qs), meanPops(NewEngine(g, Options{Method: m, NoGoalBound: true}), qs)
+			if goal > plain/2 {
+				b.Fatalf("%v: Route pops %.1f per search, Algorithm 1's order %.1f; want at most half", m, goal, plain)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, _, _ = e.Route(q)
 				e.BuildSkeletonFamily(sp, tp, q.At)
 			}
+			b.ReportMetric(goal, "route-pops")
+			b.ReportMetric(plain, "alg1-route-pops")
 		})
 	}
 }

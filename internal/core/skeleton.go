@@ -108,7 +108,7 @@ func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temp
 		}
 		st.reset()
 		st.anchors = st.anchors[:0]
-		st.improve(int32(a), 0, rootH, srcPart)
+		st.improve(int32(a), 0, 0, rootH, srcPart)
 		e.run(&s, &stats)
 		slices.Sort(st.anchors)
 		for _, b := range st.anchors {

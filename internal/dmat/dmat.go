@@ -14,6 +14,10 @@
 //   - for non-convex (rectilinear) polygons the package also provides a
 //     visibility-graph shortest-path distance, used by the decomposition
 //     substrate and available for venues that skip decomposition.
+//
+// Build also derives a Bound from the matrices: a floor-aware lower
+// bound on the walking distance between two points of the venue, the
+// goal-directed search's estimate of the distance still to walk.
 package dmat
 
 import (
@@ -79,11 +83,79 @@ func (m *Matrix) MemoryBytes() int {
 type Set struct {
 	venue *model.Venue
 	mats  []Matrix
+	bound Bound
 }
 
-// Build computes distance matrices for every partition of the venue.
+// Bound is a lower bound on walking distance, α · (XY distance + c ·
+// floors changed). c is the smallest cross-floor matrix entry per floor
+// changed, and α the largest factor ≤ 1 that keeps every matrix entry
+// at or above the bound, shrunk by a relative margin of 1e-9. Point
+// legs are planar distances on one floor, so they satisfy it too. By
+// the triangle inequality, bounding the distance to a fixed target by
+// Dist is consistent: it drops by at most α·leg < leg along any leg.
+// The margin keeps that strict in floating point, so a predecessor's
+// key stays below its successor's even on collinear doors.
+type Bound struct {
+	alpha, floorCost float64
+}
+
+// Dist returns the bound on the walking distance between p and q.
+func (b Bound) Dist(p, q geom.Point) float64 {
+	floors := p.Floor - q.Floor
+	if floors < 0 {
+		floors = -floors
+	}
+	return b.alpha * (p.DistXY(q) + b.floorCost*float64(floors))
+}
+
+// boundMargin is the relative slack taken off α.
+const boundMargin = 1e-9
+
+// boundFit accumulates Build's entries into a Bound in the same pass.
+// Same-floor entries fold into the smallest entry-to-planar ratio
+// directly; the few cross-floor ones wait for c.
+type boundFit struct {
+	ratio float64 // min entry / XY over same-floor entries
+	cross []crossEntry
+}
+
+type crossEntry struct {
+	dist, xy float64
+	floors   int
+}
+
+func (f *boundFit) add(dist, xy float64, floors int) {
+	if floors < 0 {
+		floors = -floors
+	}
+	switch {
+	case floors != 0:
+		f.cross = append(f.cross, crossEntry{dist, xy, floors})
+	case xy > 0:
+		f.ratio = min(f.ratio, dist/xy)
+	}
+}
+
+func (f *boundFit) bound() Bound {
+	c := math.Inf(1)
+	for _, e := range f.cross {
+		c = min(c, e.dist/float64(e.floors))
+	}
+	if math.IsInf(c, 1) {
+		c = 0 // no entry changes floors: no route does
+	}
+	alpha := f.ratio
+	for _, e := range f.cross {
+		alpha = min(alpha, e.dist/(e.xy+c*float64(e.floors)))
+	}
+	return Bound{alpha: max(alpha, 0) * (1 - boundMargin), floorCost: c}
+}
+
+// Build computes distance matrices for every partition of the venue,
+// and their Bound.
 func Build(v *model.Venue) (*Set, error) {
 	s := &Set{venue: v, mats: make([]Matrix, v.PartitionCount())}
+	fit := boundFit{ratio: 1}
 	for p := 0; p < v.PartitionCount(); p++ {
 		pid := model.PartitionID(p)
 		doors := v.DoorsOf(pid)
@@ -95,21 +167,26 @@ func Build(v *model.Venue) (*Set, error) {
 		}
 		m.d = make([]float64, len(doors)*len(doors))
 		for i := 0; i < len(doors); i++ {
+			pi := v.Door(doors[i]).Pos
 			for j := i + 1; j < len(doors); j++ {
-				dist, err := doorDistance(v, pid, doors[i], doors[j])
+				pj := v.Door(doors[j]).Pos
+				xy := pi.DistXY(pj)
+				dist, err := doorDistance(v, pid, doors[i], doors[j], xy)
 				if err != nil {
 					return nil, err
 				}
 				m.set(doors[i], doors[j], dist)
+				fit.add(dist, xy, pi.Floor-pj.Floor)
 			}
 		}
 	}
+	s.bound = fit.bound()
 	return s, nil
 }
 
-// doorDistance resolves the intra-partition distance between two doors,
-// trying overrides first, then geometry.
-func doorDistance(v *model.Venue, p model.PartitionID, a, b model.DoorID) (float64, error) {
+// doorDistance resolves the intra-partition distance between two doors
+// xy apart in plan, trying overrides first, then geometry.
+func doorDistance(v *model.Venue, p model.PartitionID, a, b model.DoorID, xy float64) (float64, error) {
 	if d, ok := v.DistOverride(p, a, b); ok {
 		return d, nil
 	}
@@ -128,10 +205,13 @@ func doorDistance(v *model.Venue, p model.PartitionID, a, b model.DoorID) (float
 		if floors < 0 {
 			floors = -floors
 		}
-		return da.Pos.DistXY(db.Pos) + float64(floors)*flightLength, nil
+		return xy + float64(floors)*flightLength, nil
 	}
-	return da.Pos.DistXY(db.Pos), nil
+	return xy, nil
 }
+
+// Bound returns the venue's lower bound on walking distance.
+func (s *Set) Bound() Bound { return s.bound }
 
 // Matrix returns partition p's distance matrix.
 func (s *Set) Matrix(p model.PartitionID) *Matrix { return &s.mats[p] }

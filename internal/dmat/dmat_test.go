@@ -288,3 +288,50 @@ func TestSetStats(t *testing.T) {
 		t.Error("MemoryBytes must be positive")
 	}
 }
+
+// TestBound: c is the smallest stair entry per floor, α keeps every
+// entry at or above the bound, and the margin keeps α below its exact
+// value.
+func TestBound(t *testing.T) {
+	v, ds, _ := buildTestVenue(t)
+	s, err := Build(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Bound()
+	if b.floorCost != 20 || b.alpha != 1-boundMargin {
+		t.Fatalf("bound = %+v, want c = 20 and α = 1 - %g", b, boundMargin)
+	}
+	for p := range v.PartitionCount() {
+		doors := s.Matrix(model.PartitionID(p)).Doors()
+		for _, a := range doors {
+			for _, c := range doors {
+				pa, pc := v.Door(a).Pos, v.Door(c).Pos
+				if d := s.Dist(model.PartitionID(p), a, c); d < b.Dist(pa, pc) {
+					t.Errorf("entry %v < bound %v", d, b.Dist(pa, pc))
+				}
+			}
+		}
+	}
+	if got, want := b.Dist(v.Door(ds[0]).Pos, geom.Pt(12, 9, 1)), (6+20)*(1-boundMargin); got != want {
+		t.Errorf("Dist across a floor = %v, want %v", got, want)
+	}
+
+	// A 15 m stairway whose doors lie 5 m apart in plan leaves c = 15
+	// and, with 15 < 5 + 15, shrinks α to 15/20.
+	bld := model.NewBuilder("short-stairs")
+	h0 := bld.AddPartition("h0", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 0))
+	h1 := bld.AddPartition("h1", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 1))
+	sw := bld.AddStairwell("sw", geom.NewRect(10, 0, 15, 5, 0))
+	lo := bld.AddDoor("lo", model.StairDoor, geom.Pt(10, 0, 0), nil)
+	hi := bld.AddDoor("hi", model.StairDoor, geom.Pt(10, 5, 1), nil)
+	bld.ConnectBi(lo, h0, sw)
+	bld.ConnectBi(hi, sw, h1)
+	bld.SetDistance(sw, lo, hi, 15)
+	if s, err = Build(bld.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if b := s.Bound(); b.floorCost != 15 || b.alpha != 0.75*(1-boundMargin) {
+		t.Fatalf("bound = %+v, want c = 15 and α = 0.75 - margin", b)
+	}
+}
