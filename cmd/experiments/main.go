@@ -7,13 +7,16 @@
 //	experiments                 # all four figures at paper scale
 //	experiments -fig 4          # Figure 4 only
 //	experiments -fig a1         # ablation: lazy vs eager heap init
+//	experiments -fig a7         # ablation: Algorithm 1 vs goal bound
 //	experiments -quick          # reduced scale (smoke test)
 //	experiments -csv            # machine-readable output
 //	experiments -runs 10 -queries 5 -floors 5 -seed 42
 //
 // Figures: 4 (time vs |T|), 5 (time vs δs2t), 6 (time vs t),
 // 7 (memory vs t). Ablations: a1 (heap init), a3 (distance matrix),
-// a5 (floors).
+// a5 (floors), a6 (partition expansion, with path quality) and a7
+// (Route's pop order: Algorithm 1 vs the goal bound, time and pops).
+// Every figure and ablation but a7 measures Algorithm 1's pop order.
 package main
 
 import (
@@ -30,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		fig     = flag.String("fig", "all", "all | 4 | 5 | 6 | 7 | a1 | a3 | a5")
+		fig     = flag.String("fig", "all", "all | 4 | 5 | 6 | 7 | a1 | a3 | a5 | a6 | a7")
 		quick   = flag.Bool("quick", false, "reduced scale for smoke testing")
 		floors  = flag.Int("floors", 5, "mall floors")
 		queries = flag.Int("queries", 5, "query instances per setting")
@@ -119,8 +122,14 @@ func main() {
 		emit(fd)
 		ran = true
 	}
+	if want("a7") {
+		fd, err := bench.RunAblationGoalBound(cfg)
+		exitOn(err)
+		emit(fd)
+		ran = true
+	}
 	if !ran {
-		log.Fatalf("unknown -fig %q (want all, 4, 5, 6, 7, a1, a3, a5, a6)", *fig)
+		log.Fatalf("unknown -fig %q (want all, 4, 5, 6, 7, a1, a3, a5, a6, a7)", *fig)
 	}
 	if !*csv {
 		fmt.Fprintln(os.Stderr, strings.TrimSpace(`

@@ -118,6 +118,16 @@ func TestAblations(t *testing.T) {
 	if len(fd.Xs) != 2 {
 		t.Fatalf("a5 xs = %d", len(fd.Xs))
 	}
+	if fd, err = RunAblationGoalBound(quickCfg()); err != nil {
+		t.Fatal(err)
+	}
+	for xi, x := range fd.Xs {
+		plain, goal := fd.Cells[2][xi], fd.Cells[3][xi]
+		if goal.Found != plain.Found || goal.AvgPops >= plain.AvgPops {
+			t.Errorf("a7 %s: goal bound found %d with %.1f pops, Algorithm 1 %d with %.1f",
+				x, goal.Found, goal.AvgPops, plain.Found, plain.AvgPops)
+		}
+	}
 }
 
 func TestRenderers(t *testing.T) {

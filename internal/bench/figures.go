@@ -164,6 +164,28 @@ func RunAblationPartitionExpansion(cfg Config) (*FigureData, error) {
 	return fd, nil
 }
 
+// RunAblationGoalBound compares Route in Algorithm 1's pop order with
+// its default goal-directed order (A7), reporting time and heap pops
+// per query. The answers are identical; only the effort differs.
+func RunAblationGoalBound(cfg Config) (*FigureData, error) {
+	cfg = cfg.normalised()
+	fd := newFigure("a7", "Goal bound: Algorithm 1 vs goal-directed (time, pops)", "variant", "us, pops",
+		[]string{"ITG/S", "ITG/A"}, []string{"alg1 us", "goal us", "alg1 pops", "goal pops"})
+	tb, err := makeTestbed(cfg, DefaultT, cfg.scaleS2T(DefaultS2T), DefaultAt)
+	if err != nil {
+		return nil, err
+	}
+	for xi, m := range []core.Method{core.MethodSyn, core.MethodAsyn} {
+		plain := measure(tb.graph, alg1(core.Options{Method: m}), tb.queries, cfg.RunsPerQuery)
+		goal := measure(tb.graph, core.Options{Method: m}, tb.queries, cfg.RunsPerQuery)
+		fd.set(0, xi, plain, plain.AvgTimeUS)
+		fd.set(1, xi, goal, goal.AvgTimeUS)
+		fd.set(2, xi, plain, plain.AvgPops)
+		fd.set(3, xi, goal, goal.AvgPops)
+	}
+	return fd, nil
+}
+
 // PathQualityComparison reports average path length of the exact vs
 // literal expansion on one testbed (used by cmd/experiments -fig a6 and
 // EXPERIMENTS.md to quantify the literal variant's suboptimality).
