@@ -262,7 +262,11 @@
 // as private_partition. RouteMany's answers are byte-identical to a
 // sequential per-query engine, exact ties included: the kernel breaks
 // every tie by one rule (see "The search engine"), which the shared run
-// applies at its goals as Route does at its target. A reverse
+// applies at its goals as Route does at its target. The exception is
+// degenerate: a target on its partition's boundary, in line with two of
+// the partition's doors, where the run, which expands through the
+// partition, can settle the nearer door from inside at an equal length
+// and return the other, equally short, answer. A reverse
 // RouteManyTo run breaks ties from the target's end, so under an exact
 // float-length tie it may return the other, equally shortest answer.
 // Shared answers feed the exact and window caches like any search

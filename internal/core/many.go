@@ -24,7 +24,9 @@ import (
 // RouteMany returns answers byte-identical to what a solo Engine.Route
 // would produce for each query (same TV_Check semantics for
 // syn/asyn/static), exact ties included: its goals take the kernel's
-// tie rule exactly as Route's target node does. RouteManyTo's answers
+// tie rule exactly as Route's target node does (the one exception, a
+// target on its partition's boundary in line with two of its doors, is
+// in doc.go "Shared execution"). RouteManyTo's answers
 // are byte-identical whenever the query's shortest valid path is
 // unique — the generic case, and the condition real venues with
 // irregular geometry satisfy. Under an exact float-length tie between

@@ -328,3 +328,32 @@ func TestSharedRunsMatchRouteOnMall(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteManyGoalTieAtDoor: the target lies on door u of its
+// partition P. It is 7 m away both through u (4 m to door w, then a 3 m
+// override across B to u) and through door v (5 m, then 2 m inside P).
+// Route's target node pops after every door of key 7, so it takes u,
+// the lower predecessor handle; the shared run's goal must stay open
+// until the frontier passes 7 to take u as well.
+func TestRouteManyGoalTieAtDoor(t *testing.T) {
+	b := model.NewBuilder("goal-tie")
+	p := b.AddPartition("P", model.PublicPartition, geom.NewRect(10, 0, 20, 10, 0))
+	a := b.AddPartition("A", model.PublicPartition, geom.NewRect(0, 5, 10, 10, 0))
+	bp := b.AddPartition("B", model.PublicPartition, geom.NewRect(0, 0, 10, 5, 0))
+	u := b.AddDoor("u", model.PublicDoor, geom.Pt(10, 4, 0), nil)
+	w := b.AddDoor("w", model.PublicDoor, geom.Pt(6, 5, 0), nil)
+	v := b.AddDoor("v", model.PublicDoor, geom.Pt(10, 6, 0), nil)
+	b.ConnectBi(u, bp, p)
+	b.ConnectBi(w, a, bp)
+	b.ConnectBi(v, a, p)
+	b.SetDistance(bp, w, u, 3)
+	g := itgraph.MustNew(b.MustBuild())
+	q := Query{Source: geom.Pt(6, 9, 0), Target: geom.Pt(10, 4, 0), At: temporal.Clock(12, 0, 0)}
+	for _, m := range manyMethods {
+		e := NewEngine(g, Options{Method: m})
+		if want, _, err := e.Route(q); err != nil || !reflect.DeepEqual(want.Doors, []model.DoorID{w, u}) {
+			t.Fatalf("%v: Route = %v, %v; want the 7 m path through w and u", m, want, err)
+		}
+		assertSameAsSolo(t, m.String(), e, q, e.RouteMany(q.Source, []geom.Point{q.Target}, q.At, 0)[0])
+	}
+}
