@@ -146,7 +146,9 @@ func (f *boundFit) bound() Bound {
 	}
 	alpha := f.ratio
 	for _, e := range f.cross {
-		alpha = min(alpha, e.dist/(e.xy+c*float64(e.floors)))
+		if d := e.xy + c*float64(e.floors); d > 0 {
+			alpha = min(alpha, e.dist/d)
+		}
 	}
 	return Bound{alpha: max(alpha, 0) * (1 - boundMargin), floorCost: c}
 }

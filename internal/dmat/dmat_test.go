@@ -318,20 +318,23 @@ func TestBound(t *testing.T) {
 	}
 
 	// A 15 m stairway whose doors lie 5 m apart in plan leaves c = 15
-	// and, with 15 < 5 + 15, shrinks α to 15/20.
-	bld := model.NewBuilder("short-stairs")
-	h0 := bld.AddPartition("h0", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 0))
-	h1 := bld.AddPartition("h1", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 1))
-	sw := bld.AddStairwell("sw", geom.NewRect(10, 0, 15, 5, 0))
-	lo := bld.AddDoor("lo", model.StairDoor, geom.Pt(10, 0, 0), nil)
-	hi := bld.AddDoor("hi", model.StairDoor, geom.Pt(10, 5, 1), nil)
-	bld.ConnectBi(lo, h0, sw)
-	bld.ConnectBi(hi, sw, h1)
-	bld.SetDistance(sw, lo, hi, 15)
-	if s, err = Build(bld.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	if b := s.Bound(); b.floorCost != 15 || b.alpha != 0.75*(1-boundMargin) {
-		t.Fatalf("bound = %+v, want c = 15 and α = 0.75 - margin", b)
+	// and, with 15 < 5 + 15, shrinks α to 15/20. A 0 m one between doors
+	// above each other leaves c = 0 and the planar bound.
+	for _, tc := range []struct{ stairY, stair, c, alpha float64 }{{5, 15, 15, 0.75}, {0, 0, 0, 1}} {
+		bld := model.NewBuilder("stairs")
+		h0 := bld.AddPartition("h0", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 0))
+		h1 := bld.AddPartition("h1", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 1))
+		sw := bld.AddStairwell("sw", geom.NewRect(10, 0, 15, 5, 0))
+		lo := bld.AddDoor("lo", model.StairDoor, geom.Pt(10, 0, 0), nil)
+		hi := bld.AddDoor("hi", model.StairDoor, geom.Pt(10, tc.stairY, 1), nil)
+		bld.ConnectBi(lo, h0, sw)
+		bld.ConnectBi(hi, sw, h1)
+		bld.SetDistance(sw, lo, hi, tc.stair)
+		if s, err = Build(bld.MustBuild()); err != nil {
+			t.Fatal(err)
+		}
+		if b := s.Bound(); b.floorCost != tc.c || b.alpha != tc.alpha*(1-boundMargin) {
+			t.Errorf("%v m stairway: bound = %+v, want c = %v and α = %v - margin", tc.stair, b, tc.c, tc.alpha)
+		}
 	}
 }
