@@ -9,7 +9,9 @@
 // δs2t=1500 m, t=12:00; 5 query instances per setting). Shapes to
 // compare against the paper: Fig. 4 flat in |T| at t=12 and decreasing
 // at t=8; Fig. 5 mildly increasing in δs2t; Fig. 6/7 low at night with
-// a 10:00–20:00 plateau; ITG/A at or below ITG/S throughout.
+// a 10:00–20:00 plateau; ITG/A at or below ITG/S throughout. Like
+// internal/bench, the figure and ablation benchmarks route in Algorithm
+// 1's pop order (Options.NoGoalBound), not the goal-directed default.
 package indoorpath_test
 
 import (
@@ -73,7 +75,7 @@ func (tb *testbed) atTime(at indoorpath.TimeOfDay) []indoorpath.Query {
 // custom benchmark metric.
 func runQueries(b *testing.B, g *indoorpath.Graph, method indoorpath.Method, qs []indoorpath.Query) {
 	b.Helper()
-	e := indoorpath.NewEngine(g, indoorpath.Options{Method: method})
+	e := indoorpath.NewEngine(g, indoorpath.Options{Method: method, NoGoalBound: true})
 	for _, q := range qs { // warmup: snapshots, allocator
 		if _, _, err := e.RouteOrNil(q); err != nil {
 			b.Fatal(err)
@@ -168,7 +170,7 @@ func BenchmarkAblationEagerHeap(b *testing.B) {
 	}{{"lazy", false}, {"eager", true}} {
 		b.Run(variant.name, func(b *testing.B) {
 			e := indoorpath.NewEngine(tb.graph, indoorpath.Options{
-				Method: indoorpath.MethodSyn, EagerHeapInit: variant.eager,
+				Method: indoorpath.MethodSyn, EagerHeapInit: variant.eager, NoGoalBound: true,
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -191,7 +193,7 @@ func BenchmarkAblationDistanceMatrix(b *testing.B) {
 	}{{"dm-lookup", false}, {"recompute", true}} {
 		b.Run(variant.name, func(b *testing.B) {
 			e := indoorpath.NewEngine(tb.graph, indoorpath.Options{
-				Method: indoorpath.MethodSyn, NoDistanceMatrix: variant.noDM,
+				Method: indoorpath.MethodSyn, NoDistanceMatrix: variant.noDM, NoGoalBound: true,
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -245,7 +247,7 @@ func BenchmarkAblationPartitionExpansion(b *testing.B) {
 	}{{"exact", false}, {"literal", true}} {
 		b.Run(variant.name, func(b *testing.B) {
 			e := indoorpath.NewEngine(tb.graph, indoorpath.Options{
-				Method: indoorpath.MethodSyn, SinglePartitionExpansion: variant.literal,
+				Method: indoorpath.MethodSyn, SinglePartitionExpansion: variant.literal, NoGoalBound: true,
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
