@@ -212,7 +212,13 @@ func (v *Venue) LocateAll(pt geom.Point) []PartitionID {
 // every door's ATI boundaries. This is the T consumed by Graph_Update
 // (Algorithm 3).
 func (v *Venue) Checkpoints() temporal.CheckpointSet {
-	var ts []temporal.TimeOfDay
+	n := 0
+	for i := range v.doors {
+		if v.doors[i].HasTemporalVariation() {
+			n += 2 * len(v.doors[i].ATIs)
+		}
+	}
+	ts := make([]temporal.TimeOfDay, 0, n)
 	for i := range v.doors {
 		if v.doors[i].HasTemporalVariation() {
 			ts = v.doors[i].ATIs.Boundaries(ts)
@@ -255,9 +261,11 @@ type Stats struct {
 // to answer queries against the new opening hours — the what-if /
 // re-planning workflow (e.g. simulating a lockdown or extended hours).
 func (v *Venue) WithSchedules(updates map[DoorID]temporal.Schedule) (*Venue, error) {
+	// Only doors carry schedules, so everything else is shared with
+	// the receiver; a venue is read-only after construction.
 	out := &Venue{
 		Name:         v.Name,
-		partitions:   append([]Partition(nil), v.partitions...),
+		partitions:   v.partitions,
 		doors:        make([]Door, len(v.doors)),
 		p2d:          v.p2d,
 		p2dEnter:     v.p2dEnter,

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -30,7 +31,7 @@ func NewCheckpointSet(times []TimeOfDay) CheckpointSet {
 			ts = append(ts, t)
 		}
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	out := ts[:0]
 	for _, t := range ts {
 		if len(out) == 0 || out[len(out)-1] != t {

@@ -1,6 +1,8 @@
 package temporal
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,6 +50,47 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 	if Clock(24, 0, 0).String() != "24:00" {
 		t.Errorf("24:00 renders as %q", Clock(24, 0, 0).String())
+	}
+}
+
+// sprintfClock is the fmt rendering String had before AppendClock:
+// the reference AppendClock must reproduce byte for byte.
+func sprintfClock(t TimeOfDay) string {
+	sec := float64(t)
+	neg := ""
+	if sec < 0 {
+		neg, sec = "-", -sec
+	}
+	total := int(math.Round(sec))
+	h, m, s := total/3600, (total/60)%60, total%60
+	if s == 0 {
+		return fmt.Sprintf("%s%d:%02d", neg, h, m)
+	}
+	return fmt.Sprintf("%s%d:%02d:%02d", neg, h, m, s)
+}
+
+// TestAppendClockMatchesSprintf holds AppendClock (and so String) to
+// the fmt rendering across the day, fractional and negative instants,
+// multi-day and huge values, and the non-finite ones.
+func TestAppendClockMatchesSprintf(t *testing.T) {
+	values := []TimeOfDay{
+		0, 0.4, 0.5, 1.5, 59.5, 599.49, 3599.5, 35999.5, DaySeconds, DaySeconds + 1,
+		-0.4, -0.5, -1, -61, -3600, -86399.5, 1e6, 1e12, 1e18, 1e300, -1e300,
+		TimeOfDay(math.Inf(1)), TimeOfDay(math.Inf(-1)), TimeOfDay(math.NaN()),
+		TimeOfDay(math.Copysign(0, -1)), TimeOfDay(math.MaxInt64), TimeOfDay(math.MinInt64),
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		values = append(values, TimeOfDay((rng.Float64()-0.1)*3*float64(DaySeconds)))
+	}
+	for _, v := range values {
+		want := sprintfClock(v)
+		if got := string(v.AppendClock([]byte("x"))); got != "x"+want {
+			t.Fatalf("AppendClock(%v) = %q, want %q", float64(v), got, "x"+want)
+		}
+		if got := v.String(); got != want {
+			t.Fatalf("String(%v) = %q, want %q", float64(v), got, want)
+		}
 	}
 }
 

@@ -71,17 +71,35 @@ func MustParse(s string) TimeOfDay {
 // String renders the time as H:MM or H:MM:SS (seconds only when nonzero),
 // matching the paper's notation, e.g. "8:00" and "23:30".
 func (t TimeOfDay) String() string {
+	var buf [32]byte
+	return string(t.AppendClock(buf[:0]))
+}
+
+// AppendClock appends String's rendering of t to dst and returns the
+// extended slice.
+func (t TimeOfDay) AppendClock(dst []byte) []byte {
 	sec := float64(t)
-	neg := ""
 	if sec < 0 {
-		neg, sec = "-", -sec
+		dst = append(dst, '-')
+		sec = -sec
 	}
 	total := int(math.Round(sec))
 	h, m, s := total/3600, (total/60)%60, total%60
-	if s == 0 {
-		return fmt.Sprintf("%s%d:%02d", neg, h, m)
+	dst = strconv.AppendInt(dst, int64(h), 10)
+	dst = appendTwoDigits(append(dst, ':'), m)
+	if s != 0 {
+		dst = appendTwoDigits(append(dst, ':'), s)
 	}
-	return fmt.Sprintf("%s%d:%02d:%02d", neg, h, m, s)
+	return dst
+}
+
+// appendTwoDigits appends v as fmt's %02d does: zero-padded to two
+// digits, and unpadded when the sign or the digits already fill them.
+func appendTwoDigits(dst []byte, v int) []byte {
+	if v >= 0 && v < 10 {
+		return append(dst, '0', byte('0'+v))
+	}
+	return strconv.AppendInt(dst, int64(v), 10)
 }
 
 // Mod returns t reduced into [0, DaySeconds).
