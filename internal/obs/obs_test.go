@@ -315,6 +315,40 @@ func TestRingSampling(t *testing.T) {
 	}
 }
 
+// TestFinishRequestBuildsOnlyKeptDocs: the ring decides admission
+// from the duration, so a request it does not keep builds no trace doc
+// (FinishRequest allocates nothing), while a kept one still lands with
+// the same slow-wins rule and 1-in-N count as Offer.
+func TestFinishRequestBuildsOnlyKeptDocs(t *testing.T) {
+	o := NewObserver(ObserverOptions{RingCapacity: 4, SlowK: 1, SampleN: 3})
+	info := RequestInfo{Venue: "v", Method: "m", Outcome: OutcomeOK}
+	slow := &Trace{obs: o, start: time.Now().Add(-time.Hour)}
+	o.FinishRequest(slow, info)
+	for i := 0; i < 9; i++ {
+		o.FinishRequest(o.NewTrace(), info)
+	}
+	docs := o.Traces()
+	if len(docs) != 4 || !docs[0].Slow || docs[0].DurationMs < 3.6e6 {
+		t.Fatalf("after 1 slow and 9 fast requests the ring holds %v, want the slow one and 3 sampled", durations(docs))
+	}
+	for _, d := range docs[1:] {
+		if !d.Sampled || d.Slow {
+			t.Fatalf("sampled doc flags = %+v", d)
+		}
+	}
+
+	o = NewObserver(ObserverOptions{RingCapacity: 2, SlowK: 1, SampleN: 1 << 30})
+	o.FinishRequest(&Trace{obs: o, start: time.Now().Add(-time.Hour)}, info)
+	tr := o.NewTrace()
+	tr.Start(StageProbe).End()
+	if allocs := testing.AllocsPerRun(100, func() { o.FinishRequest(tr, info) }); allocs != 0 {
+		t.Fatalf("FinishRequest of a trace the ring drops allocated %v times, want 0", allocs)
+	}
+	if got := o.ring.Len(); got != 1 {
+		t.Fatalf("ring holds %d docs, want only the slow one", got)
+	}
+}
+
 func durations(docs []*TraceDoc) []float64 {
 	out := make([]float64, len(docs))
 	for i, d := range docs {

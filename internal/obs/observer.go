@@ -76,15 +76,16 @@ func (o *Observer) NewTrace() *Trace {
 
 // FinishRequest closes out a request: observes its total latency in
 // the (venue, method, outcome) histogram and offers the trace to the
-// ring. Call it after the render span ends, once per request. Nil
-// observer or nil trace is a no-op.
+// ring, which builds its doc only if it keeps it. Call it after the
+// render span ends, once per request. Nil observer or nil trace is a
+// no-op.
 func (o *Observer) FinishRequest(t *Trace, info RequestInfo) {
 	if o == nil || t == nil {
 		return
 	}
 	total := time.Since(t.start)
 	o.histFor(RequestKey{Venue: info.Venue, Method: info.Method, Outcome: info.Outcome}).Observe(total)
-	o.ring.Offer(t.doc(info, total))
+	o.ring.offerTrace(t, info, total)
 }
 
 func (o *Observer) histFor(k RequestKey) *Histogram {

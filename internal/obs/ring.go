@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // TraceRing is the bounded store behind /tracez. It retains at most
 // `capacity` trace docs split in two populations:
@@ -52,9 +55,26 @@ func (r *TraceRing) Offer(d *TraceDoc) {
 	if r == nil || d == nil {
 		return
 	}
+	r.offer(d.DurationMs, func() *TraceDoc { return d })
+}
+
+// offerTrace is Offer for a finished trace whose doc is built only if
+// the ring keeps it.
+func (r *TraceRing) offerTrace(t *Trace, info RequestInfo, total time.Duration) {
+	if r == nil {
+		return
+	}
+	r.offer(durMs(total), func() *TraceDoc { return t.doc(info, total) })
+}
+
+// offer decides from the duration alone whether the ring keeps a doc,
+// and calls build for the doc only then. build runs under r.mu, so it
+// must not call back into the ring.
+func (r *TraceRing) offer(durationMs float64, build func() *TraceDoc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.slow) < r.slowK {
+		d := build()
 		d.Slow = true
 		r.slow = append(r.slow, d)
 		return
@@ -66,7 +86,8 @@ func (r *TraceRing) Offer(d *TraceDoc) {
 				mi = i
 			}
 		}
-		if d.DurationMs > r.slow[mi].DurationMs {
+		if durationMs > r.slow[mi].DurationMs {
+			d := build()
 			d.Slow = true
 			r.slow[mi] = d
 			return
@@ -79,6 +100,7 @@ func (r *TraceRing) Offer(d *TraceDoc) {
 	if r.offered%int64(r.sampleN) != 0 {
 		return
 	}
+	d := build()
 	d.Sampled = true
 	if len(r.sampled) < r.sampCap {
 		r.sampled = append(r.sampled, d)
