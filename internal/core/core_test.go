@@ -8,6 +8,7 @@ import (
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
+	"indoorpath/internal/synth"
 	"indoorpath/internal/temporal"
 )
 
@@ -472,6 +473,28 @@ func TestWaitingRouterNoRouteAfterClose(t *testing.T) {
 	}
 	if err := p.Validate(g, q2); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestWaitingRouterMidnight: the waiting router answers within the
+// day. A door reached at or after 24:00 cannot be crossed, and neither
+// can the final leg end there: a same-partition walk that would arrive
+// at 24:00:01 is not found.
+func TestWaitingRouterMidnight(t *testing.T) {
+	g := itgraph.MustNew(synth.Hospital())
+	w := NewWaitingRouter(g)
+	late := temporal.Clock(23, 59, 59)
+	for _, tc := range []struct {
+		name     string
+		from, to geom.Point
+	}{
+		{"same partition, arrives 24:00:01", geom.Pt(30, 10, 0), geom.Pt(33, 10, 0)},
+		{"lobby to ER through the 24 h door", geom.Pt(10, 10, 0), geom.Pt(30, 10, 0)},
+	} {
+		p, err := w.Route(Query{Source: tc.from, Target: tc.to, At: late})
+		if !errors.Is(err, ErrNoRoute) {
+			t.Errorf("%s: got %v, %v; want ErrNoRoute", tc.name, p, err)
+		}
 	}
 }
 

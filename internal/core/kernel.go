@@ -319,6 +319,12 @@ func (e *Engine) enter(s *search, stats *SearchStats, w model.PartitionID, ancho
 				leg /= s.speed
 			}
 			cand := base + leg
+			if s.speed > 0 && cand >= float64(temporal.DaySeconds) {
+				// The waiting search's labels are instants, and like
+				// waitOpen.cross its final leg cannot end at or after
+				// midnight.
+				cand = math.Inf(1)
+			}
 			if st.better(tgtH, cand, h) && !math.IsInf(cand, 1) {
 				st.improve(tgtH, cand, cand, h, w)
 				stats.Relaxations++
