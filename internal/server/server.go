@@ -55,7 +55,6 @@ import (
 	"indoorpath/internal/coalesce"
 	"indoorpath/internal/core"
 	"indoorpath/internal/geom"
-	"indoorpath/internal/model"
 	"indoorpath/internal/obs"
 	"indoorpath/internal/service"
 )
@@ -394,34 +393,41 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request, ve *Venue) 
 		return
 	}
 
-	resp, outcome := runWithTimeout(r.Context(), s.opts.RequestTimeout, func() RouteResponse {
+	// A waiting answer comes from a router built per request (routers
+	// are goroutine-confined) and has no pool, so it carries neither
+	// provenance nor stats on the wire.
+	res, outcome := runWithTimeout(r.Context(), s.opts.RequestTimeout, func() service.Result {
 		if waiting {
-			return routeWaiting(ve, q)
+			path, err := core.NewWaitingRouter(ve.Graph()).Route(q)
+			return service.Result{Path: path, Err: err}
 		}
 		if c := s.coalescer(ve, m); c != nil {
-			return routeCoalesced(ve, c, tr, q)
+			return c.RouteTraced(tr, q)
 		}
-		return routePooled(ve, m, tr, q)
+		return ve.Pool(m).RouteTraced(tr, q)
 	})
 	if s.finishAborted(w, r, outcome, "route") {
 		s.finishAbortedTrace(tr, info, outcome)
 		return
 	}
-	info.Hit, info.Coalesced, info.SharedRun = resp.Hit, resp.Coalesced, resp.SharedRun
-	if resp.Error != nil {
-		s.finishError(w, tr, info, resp.Error)
+	info.Hit, info.Coalesced, info.SharedRun = string(res.Hit), res.Coalesced, res.SharedRun
+	switch {
+	case res.Err == nil:
+		info.Outcome = obs.OutcomeOK
+	case errors.Is(res.Err, core.ErrNoRoute):
+		info.Outcome = obs.OutcomeNoRoute
+	default:
+		s.finishError(w, tr, info, errorDocOf(res.Err))
 		return
 	}
-	if resp.Found {
-		info.Outcome = obs.OutcomeOK
-	} else {
-		info.Outcome = obs.OutcomeNoRoute
-	}
+	var trace *obs.TraceDoc
 	if req.Trace {
-		resp.Trace = tr.Doc(info)
+		trace = tr.Doc(info)
 	}
 	sp = tr.Start(obs.StageRender)
-	writeJSON(w, http.StatusOK, resp)
+	e := newBodyEncoder()
+	e.route(ve.Model(), &res, !waiting, trace)
+	e.send(w)
 	sp.End()
 	s.obsv.FinishRequest(tr, info)
 }
@@ -463,24 +469,13 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request, ve *Ve
 		s.finishError(w, tr, info, errDoc)
 		return
 	}
-	resp, outcome := runWithTimeout(r.Context(), s.opts.RequestTimeout, func() BatchResponse {
-		pool := ve.Pool(m)
-		results, sum := pool.RouteBatchSummaryTraced(tr, qs)
-		out := BatchResponse{Results: make([]RouteResponse, len(results))}
-		out.Cache = BatchCacheDoc{
-			Queries:       sum.Queries,
-			ExactHits:     sum.ExactHits,
-			WindowHits:    sum.WindowHits,
-			SkeletonHits:  sum.SkeletonHits,
-			Searches:      sum.Searches,
-			SharedRuns:    sum.SharedRuns,
-			SharedAnswers: sum.SharedAnswers,
-		}
-		mv := ve.Model()
-		for i, res := range results {
-			out.Results[i] = resultResponse(mv, res)
-		}
-		return out
+	type batchOut struct {
+		results []service.Result
+		sum     service.BatchSummary
+	}
+	out, outcome := runWithTimeout(r.Context(), s.opts.RequestTimeout, func() batchOut {
+		results, sum := ve.Pool(m).RouteBatchSummaryTraced(tr, qs)
+		return batchOut{results, sum}
 	})
 	if s.finishAborted(w, r, outcome, "batch") {
 		s.finishAbortedTrace(tr, info, outcome)
@@ -488,7 +483,9 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request, ve *Ve
 	}
 	info.Outcome = obs.OutcomeOK
 	sp = tr.Start(obs.StageRender)
-	writeJSON(w, http.StatusOK, resp)
+	e := newBodyEncoder()
+	e.batch(ve.Model(), out.results, &out.sum)
+	e.send(w)
 	sp.End()
 	s.obsv.FinishRequest(tr, info)
 }
@@ -637,49 +634,6 @@ func (s *Server) handleSchedules(w http.ResponseWriter, r *http.Request, ve *Ven
 	})
 }
 
-// resultResponse maps one pool outcome — path, error, stats and every
-// provenance flag — onto the wire. The single mapping point for solo,
-// coalesced and batch-entry responses, so a new Result flag reaches
-// all three the moment it is added here.
-func resultResponse(mv *model.Venue, res service.Result) RouteResponse {
-	resp := responseOf(mv, res.Path, res.Err, &res.Stats)
-	resp.CacheHit = res.CacheHit
-	resp.Hit = string(res.Hit)
-	resp.Shared = res.Shared
-	resp.SharedRun = res.SharedRun
-	resp.Coalesced = res.Coalesced
-	resp.Explain = res.Explain.String() // "" on hits (omitted from the wire)
-	return resp
-}
-
-// routePooled answers one query on the venue's method pool. Cache hits
-// carry the stats of the search that produced the cached outcome, so a
-// client sees exactly what Pool.Route reports.
-func routePooled(ve *Venue, m core.Method, tr *obs.Trace, q core.Query) RouteResponse {
-	return resultResponse(ve.Model(), ve.Pool(m).RouteTraced(tr, q))
-}
-
-// routeWaiting answers one query with the earliest-arrival waiting
-// router (per-request: the router is goroutine-confined).
-func routeWaiting(ve *Venue, q core.Query) RouteResponse {
-	path, err := core.NewWaitingRouter(ve.Graph()).Route(q)
-	return responseOf(ve.Model(), path, err, nil)
-}
-
-// responseOf maps an engine outcome to the wire. ErrNoRoute is the
-// regular negative answer (Found=false, no error); ErrNotIndoor and
-// anything else become embedded error docs.
-func responseOf(mv *model.Venue, path *core.Path, err error, stats *core.SearchStats) RouteResponse {
-	switch {
-	case errors.Is(err, core.ErrNoRoute):
-		return RouteResponse{Found: false, Stats: stats}
-	case err != nil:
-		return RouteResponse{Error: errorDocOf(err)}
-	default:
-		return RouteResponse{Found: true, Path: pathDoc(mv, path), Stats: stats}
-	}
-}
-
 // errorDocOf classifies an engine error.
 func errorDocOf(err error) *ErrorDoc {
 	if errors.Is(err, core.ErrNotIndoor) {
@@ -805,14 +759,6 @@ func (s *Server) coalesceStats(ve *Venue) map[string]coalesce.Stats {
 		}
 	}
 	return out
-}
-
-// routeCoalesced answers one query through the venue's standing
-// coalescer: the call blocks for at most the hold window plus one
-// flush, and the result is exactly what Pool.Route would have
-// produced, with coalescing provenance on top.
-func routeCoalesced(ve *Venue, c *coalesce.Coalescer, tr *obs.Trace, q core.Query) RouteResponse {
-	return resultResponse(ve.Model(), c.RouteTraced(tr, q))
 }
 
 // decodeBody reads and strictly decodes a JSON request body.

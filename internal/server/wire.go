@@ -19,6 +19,12 @@ import (
 // travel in two forms side by side: numeric seconds since midnight
 // (exact, fractional — what clients doing arithmetic want) and the
 // paper's "H:MM" rendering (what humans reading curl output want).
+//
+// Route and batch bodies (RouteResponse, BatchResponse) are not
+// marshalled from these types: encode.go appends them by hand from the
+// pool's results, and encode_test.go tests the bytes against
+// encoding/json's on these types, which remain the schema clients
+// decode into. Every other body goes through encoding/json.
 
 // PointDoc is a location on a floor.
 type PointDoc struct {
@@ -174,32 +180,6 @@ type BatchResponse struct {
 	Results []RouteResponse `json:"results"`
 	// Cache summarises how the batch was served.
 	Cache BatchCacheDoc `json:"cache"`
-}
-
-// pathDoc converts a found path, resolving door and partition names
-// against the venue.
-func pathDoc(v *model.Venue, p *core.Path) *PathDoc {
-	doc := &PathDoc{
-		Format:    p.Format(v),
-		LengthM:   p.Length,
-		Hops:      p.Hops(),
-		DepartSec: float64(p.DepartedAt),
-		Depart:    p.DepartedAt.String(),
-		ArriveSec: float64(p.ArrivalAtTgt),
-		Arrive:    p.ArrivalAtTgt.String(),
-		WaitSec:   float64(p.TotalWait),
-	}
-	for i, d := range p.Doors {
-		doc.Doors = append(doc.Doors, DoorStep{
-			Door:      v.Door(d).Name,
-			ArriveSec: float64(p.Arrivals[i]),
-			Arrive:    p.Arrivals[i].String(),
-		})
-	}
-	for _, part := range p.Partitions {
-		doc.Partitions = append(doc.Partitions, v.Partition(part).Name)
-	}
-	return doc
 }
 
 // ProfileEntryDoc is one checkpoint slot of a day profile.
