@@ -118,8 +118,11 @@
 // reused by every later one. A warm engine's Route or waiting route
 // allocates only the returned Path and its three slices, and a skeleton
 // build only the family and its chains. A schedule change
-// (Graph.WithSchedules) rebuilds the checkpoints and snapshots but
-// shares the distance matrices, which schedules do not affect.
+// (Graph.WithSchedules) allocates a new door for each updated door
+// and shares every other door; it adjusts the counted checkpoint
+// boundaries by the updated doors alone, starts an empty lazy
+// snapshot series, and shares the distance matrices, which schedules
+// do not affect.
 //
 // # Concurrent serving
 //

@@ -44,12 +44,13 @@ func New(v *model.Venue) (*Graph, error) {
 
 // WithSchedules returns the graph of the venue with the listed doors'
 // schedules replaced (model.Venue.WithSchedules; nil means always
-// open). It recomputes the checkpoints and starts a fresh snapshot
-// series, but shares the distance matrices: they depend only on
-// partitions, door positions and distance overrides, and a schedule
-// change alters none of them (the shared set reads door positions
-// from the receiver's venue, which are the same). The receiver is
-// unchanged.
+// open). The new venue shares every door not updated and adjusts its
+// counted checkpoint boundaries by the updated doors alone; the graph
+// starts a fresh snapshot series but shares the distance matrices:
+// they depend only on partitions, door positions and distance
+// overrides, and a schedule change alters none of them (the shared
+// set reads door positions from the receiver's venue, which are the
+// same). The receiver is unchanged.
 func (g *Graph) WithSchedules(updates map[model.DoorID]temporal.Schedule) (*Graph, error) {
 	v, err := g.venue.WithSchedules(updates)
 	if err != nil {

@@ -183,7 +183,7 @@ func (b *Builder) Build() (*Venue, error) {
 	v := &Venue{
 		Name:         b.name,
 		partitions:   append([]Partition(nil), b.partitions...),
-		doors:        make([]Door, len(b.doors)),
+		doors:        make([]*Door, len(b.doors)),
 		distOverride: map[PartitionID]map[[2]DoorID]float64{},
 		partByName:   make(map[string]PartitionID, len(b.partNames)),
 		doorByName:   make(map[string]DoorID, len(b.doorNames)),
@@ -194,11 +194,14 @@ func (b *Builder) Build() (*Venue, error) {
 	for n, id := range b.doorNames {
 		v.doorByName[n] = id
 	}
+	doors := make([]Door, len(b.doors))
 	for i, d := range b.doors {
 		d.Arcs = append([]Arc(nil), d.Arcs...)
 		d.ATIs = d.ATIs.Clone()
-		v.doors[i] = d
+		doors[i] = d
+		v.doors[i] = &doors[i]
 	}
+	v.bounds = countBoundaries(v.doors)
 	for p, m := range b.override {
 		mm := make(map[[2]DoorID]float64, len(m))
 		for k, dist := range m {
@@ -209,9 +212,9 @@ func (b *Builder) Build() (*Venue, error) {
 
 	var errs []error
 	// Every door must connect something.
-	for i := range v.doors {
-		if len(v.doors[i].Arcs) == 0 {
-			errs = append(errs, fmt.Errorf("model: door %s has no connections", v.doors[i].Name))
+	for _, d := range v.doors {
+		if len(d.Arcs) == 0 {
+			errs = append(errs, fmt.Errorf("model: door %s has no connections", d.Name))
 		}
 	}
 	// Distance overrides must reference doors attached to the partition.
@@ -227,9 +230,9 @@ func (b *Builder) Build() (*Venue, error) {
 		}
 		dst[p] = append(dst[p], d)
 	}
-	for i := range v.doors {
+	for i, door := range v.doors {
 		d := DoorID(i)
-		for _, a := range v.doors[i].Arcs {
+		for _, a := range door.Arcs {
 			attach(v.p2d, a.From, d)
 			attach(v.p2d, a.To, d)
 			attach(v.p2dLeave, a.From, d)

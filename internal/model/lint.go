@@ -59,8 +59,7 @@ func (v *Venue) Lint() []Problem {
 	}
 
 	// Door placement and openness.
-	for i := range v.doors {
-		d := &v.doors[i]
+	for _, d := range v.doors {
 		if len(d.ATIs) == 0 {
 			warnf("door %s is never open", d.Name)
 		}

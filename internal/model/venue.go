@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"indoorpath/internal/geom"
@@ -14,7 +16,15 @@ import (
 type Venue struct {
 	Name       string
 	partitions []Partition
-	doors      []Door
+	// doors indexes the doors, which Build lays out in one backing
+	// array. WithSchedules copies the index and gives each updated door
+	// a new Door; every other door is shared with the receiver.
+	doors []*Door
+	// bounds is the checkpoint set T with multiplicities: every instant
+	// strictly inside the day on which some door's ATI opens or closes,
+	// sorted, with the number of such boundaries. A schedule swap
+	// adjusts the counts by the updated doors alone.
+	bounds []boundary
 
 	p2d      [][]DoorID // all doors attached to a partition
 	p2dEnter [][]DoorID // P2D▷: doors through which one can enter
@@ -57,13 +67,14 @@ func (v *Venue) Partition(id PartitionID) *Partition {
 }
 
 // Door returns the door with the given id.
-func (v *Venue) Door(id DoorID) *Door { return &v.doors[id] }
+func (v *Venue) Door(id DoorID) *Door { return v.doors[id] }
 
 // Partitions returns the partition slice (shared; do not mutate).
 func (v *Venue) Partitions() []Partition { return v.partitions }
 
-// Doors returns the door slice (shared; do not mutate).
-func (v *Venue) Doors() []Door { return v.doors }
+// Doors returns the door index, ordered by ID (shared; mutate neither
+// the slice nor the doors).
+func (v *Venue) Doors() []*Door { return v.doors }
 
 // Floors returns the sorted distinct floor numbers.
 func (v *Venue) Floors() []int { return v.floors }
@@ -210,28 +221,98 @@ func (v *Venue) LocateAll(pt geom.Point) []PartitionID {
 
 // Checkpoints returns the venue's checkpoint set T: the sorted union of
 // every door's ATI boundaries. This is the T consumed by Graph_Update
-// (Algorithm 3).
+// (Algorithm 3). It reads the counted boundaries, so it costs O(|T|)
+// whatever the number of doors.
 func (v *Venue) Checkpoints() temporal.CheckpointSet {
-	n := 0
-	for i := range v.doors {
-		if v.doors[i].HasTemporalVariation() {
-			n += 2 * len(v.doors[i].ATIs)
-		}
-	}
-	ts := make([]temporal.TimeOfDay, 0, n)
-	for i := range v.doors {
-		if v.doors[i].HasTemporalVariation() {
-			ts = v.doors[i].ATIs.Boundaries(ts)
-		}
+	ts := make([]temporal.TimeOfDay, len(v.bounds))
+	for i, b := range v.bounds {
+		ts[i] = b.at
 	}
 	return temporal.NewCheckpointSet(ts)
+}
+
+// boundary is one instant of the checkpoint set T and the number of
+// door ATI boundaries that fall on it.
+type boundary struct {
+	at    temporal.TimeOfDay
+	count int
+}
+
+// countBoundaries counts the ATI boundaries of the doors strictly
+// inside the day, in one scan and one sort of the instants.
+func countBoundaries(doors []*Door) []boundary {
+	total := 0
+	for _, d := range doors {
+		if d.HasTemporalVariation() {
+			total += 2 * len(d.ATIs)
+		}
+	}
+	ts := make([]temporal.TimeOfDay, 0, total)
+	for _, d := range doors {
+		if d.HasTemporalVariation() {
+			ts = d.ATIs.Boundaries(ts)
+		}
+	}
+	slices.Sort(ts)
+	var out []boundary
+	for _, t := range ts {
+		if t <= 0 || t >= temporal.DaySeconds {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].at == t {
+			out[n-1].count++
+		} else {
+			out = append(out, boundary{at: t, count: 1})
+		}
+	}
+	return out
+}
+
+// appendBoundaries appends each open and close instant of s strictly
+// inside the day, weighted by w. 0:00 and 24:00 separate no two slots,
+// so T leaves them out.
+func appendBoundaries(dst []boundary, s temporal.Schedule, w int) []boundary {
+	for _, iv := range s {
+		for _, t := range [2]temporal.TimeOfDay{iv.Open, iv.Close} {
+			if t > 0 && t < temporal.DaySeconds {
+				dst = append(dst, boundary{at: t, count: w})
+			}
+		}
+	}
+	return dst
+}
+
+// recount returns the counted boundaries bs with the weighted instants
+// of delta added, leaving out every instant whose count is zero. It
+// sorts delta in place and does not modify bs.
+func recount(bs, delta []boundary) []boundary {
+	slices.SortFunc(delta, func(a, b boundary) int { return cmp.Compare(a.at, b.at) })
+	out := make([]boundary, 0, len(bs)+len(delta))
+	put := func(b boundary) {
+		if n := len(out); n > 0 && out[n-1].at == b.at {
+			out[n-1].count += b.count
+		} else {
+			out = append(out, b)
+		}
+	}
+	i := 0
+	for _, d := range delta {
+		for ; i < len(bs) && bs[i].at <= d.at; i++ {
+			put(bs[i])
+		}
+		put(d)
+	}
+	for _, b := range bs[i:] {
+		put(b)
+	}
+	return slices.DeleteFunc(out, func(b boundary) bool { return b.count == 0 })
 }
 
 // OpenDoorCount returns how many doors are open at instant t.
 func (v *Venue) OpenDoorCount(t temporal.TimeOfDay) int {
 	n := 0
-	for i := range v.doors {
-		if v.doors[i].OpenAt(t) {
+	for _, d := range v.doors {
+		if d.OpenAt(t) {
 			n++
 		}
 	}
@@ -260,23 +341,15 @@ type Stats struct {
 // receiver is unchanged; rebuild the IT-Graph over the returned venue
 // to answer queries against the new opening hours — the what-if /
 // re-planning workflow (e.g. simulating a lockdown or extended hours).
+// A swap copies the door index and the boundary counts and allocates
+// one Door per updated door; it reads no door it does not update.
 func (v *Venue) WithSchedules(updates map[DoorID]temporal.Schedule) (*Venue, error) {
 	// Only doors carry schedules, so everything else is shared with
-	// the receiver; a venue is read-only after construction.
-	out := &Venue{
-		Name:         v.Name,
-		partitions:   v.partitions,
-		doors:        make([]Door, len(v.doors)),
-		p2d:          v.p2d,
-		p2dEnter:     v.p2dEnter,
-		p2dLeave:     v.p2dLeave,
-		distOverride: v.distOverride,
-		indexes:      v.indexes,
-		floors:       v.floors,
-		partByName:   v.partByName,
-		doorByName:   v.doorByName,
-	}
-	copy(out.doors, v.doors)
+	// the receiver, every door not updated included; a venue is
+	// read-only after construction.
+	out := *v
+	out.doors = slices.Clone(v.doors)
+	var delta []boundary
 	for id, sched := range updates {
 		if int(id) < 0 || int(id) >= len(out.doors) {
 			return nil, fmt.Errorf("model: WithSchedules: unknown door %d", id)
@@ -284,13 +357,18 @@ func (v *Venue) WithSchedules(updates map[DoorID]temporal.Schedule) (*Venue, err
 		if sched == nil {
 			sched = temporal.AlwaysOpen()
 		}
+		d := *v.doors[id]
 		norm, err := temporal.NewSchedule(sched...)
 		if err != nil {
-			return nil, fmt.Errorf("model: WithSchedules door %s: %w", out.doors[id].Name, err)
+			return nil, fmt.Errorf("model: WithSchedules door %s: %w", d.Name, err)
 		}
-		out.doors[id].ATIs = norm
+		delta = appendBoundaries(delta, d.ATIs, -1)
+		delta = appendBoundaries(delta, norm, 1)
+		d.ATIs = norm
+		out.doors[id] = &d
 	}
-	return out, nil
+	out.bounds = recount(v.bounds, delta)
+	return &out, nil
 }
 
 // Stats computes venue statistics.
@@ -311,8 +389,7 @@ func (v *Venue) Stats() Stats {
 		}
 	}
 	s.FloorPartitions = s.Partitions - s.StairwellParts - s.OutdoorParts
-	for i := range v.doors {
-		d := &v.doors[i]
+	for _, d := range v.doors {
 		switch d.Kind {
 		case PublicDoor:
 			s.PublicDoors++

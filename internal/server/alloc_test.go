@@ -113,3 +113,47 @@ func TestServeHTTPAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkServeSchedules measures one PUT /schedules through
+// ServeHTTP on the mall with every serving layer on (the pools' window
+// and skeleton stores, the shared-execution planner and the
+// coalescer): six always-open doors close and reopen in turn, so every
+// iteration swaps the venue's graph.
+func BenchmarkServeSchedules(b *testing.B) {
+	reg := NewRegistry(service.Options{WindowCache: true, SkeletonCache: true, SharedBatch: true})
+	if _, err := reg.AddPresets("mall"); err != nil {
+		b.Fatal(err)
+	}
+	srv := New(reg, Options{Coalesce: true})
+	ve, _ := reg.Get("mall")
+	shut, open := SchedulesRequest{Updates: map[string][]string{}}, SchedulesRequest{Updates: map[string][]string{}}
+	for _, d := range ve.Model().Doors() {
+		if len(shut.Updates) == 6 {
+			break
+		}
+		if d.ATIs.AlwaysOpenAllDay() {
+			shut.Updates[d.Name], open.Updates[d.Name] = []string{}, nil
+		}
+	}
+	var raws [2][]byte
+	for i, doc := range []SchedulesRequest{shut, open} {
+		var err error
+		if raws[i], err = json.Marshal(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// decodeBody replaces the request's body, so each run restores it.
+	req := httptest.NewRequest(http.MethodPut, "/v1/venues/mall/schedules", nil)
+	body := &rewindBody{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(raws[i%2])
+		req.Body = body
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("PUT /schedules: HTTP %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+}
