@@ -106,6 +106,41 @@ func TestMod(t *testing.T) {
 	}
 }
 
+// modByMathMod is Mod without its in-range fast path.
+func modByMathMod(t TimeOfDay) TimeOfDay {
+	v := math.Mod(float64(t), float64(DaySeconds))
+	if v < 0 {
+		v += float64(DaySeconds)
+	}
+	return TimeOfDay(v)
+}
+
+// TestModMatchesMathMod holds Mod to the math.Mod reduction bit for
+// bit: the fast path must return in-range values, -0 included,
+// exactly as math.Mod does, and leave every other value to it.
+func TestModMatchesMathMod(t *testing.T) {
+	below := TimeOfDay(math.Nextafter(float64(DaySeconds), 0))
+	values := []TimeOfDay{
+		0, TimeOfDay(math.Copysign(0, -1)), DaySeconds, below, -below, DaySeconds + below,
+		5e-324, -5e-324, 1, -1, 0.5, -0.5, 43200, -43200, -DaySeconds, 2 * DaySeconds, -3 * DaySeconds,
+		1e15, -1e15, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+		TimeOfDay(math.NaN()), TimeOfDay(math.Inf(1)), TimeOfDay(math.Inf(-1)),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 5000; i++ {
+		values = append(values,
+			TimeOfDay((rng.Float64()*4-1.5)*float64(DaySeconds)),
+			TimeOfDay(math.Float64frombits(rng.Uint64())))
+	}
+	for _, v := range values {
+		got, want := math.Float64bits(float64(v.Mod())), math.Float64bits(float64(modByMathMod(v)))
+		if got != want {
+			t.Fatalf("Mod(%v) = %v (bits %#x), math.Mod path %v (bits %#x)",
+				float64(v), float64(v.Mod()), got, float64(modByMathMod(v)), want)
+		}
+	}
+}
+
 func TestIntervalBasics(t *testing.T) {
 	iv := MustInterval(Clock(8, 0, 0), Clock(16, 0, 0))
 	if !iv.Contains(Clock(8, 0, 0)) {

@@ -102,8 +102,13 @@ func appendTwoDigits(dst []byte, v int) []byte {
 	return strconv.AppendInt(dst, int64(v), 10)
 }
 
-// Mod returns t reduced into [0, DaySeconds).
+// Mod returns t reduced into [0, DaySeconds). A t already in range,
+// -0 included, is returned as it is, which is what math.Mod returns
+// for it; only other values pay for the division.
 func (t TimeOfDay) Mod() TimeOfDay {
+	if t >= 0 && t < DaySeconds {
+		return t
+	}
 	v := math.Mod(float64(t), float64(DaySeconds))
 	if v < 0 {
 		v += float64(DaySeconds)
