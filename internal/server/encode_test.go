@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -460,6 +461,7 @@ func TestServedBodiesMatchEncodingJSON(t *testing.T) {
 	twin, _ := newMall().Get("mall")
 	mv := twin.Model()
 	rng := rand.New(rand.NewSource(3))
+	var status int
 	serve := func(path string, body any) []byte {
 		t.Helper()
 		raw, err := json.Marshal(body)
@@ -468,6 +470,7 @@ func TestServedBodiesMatchEncodingJSON(t *testing.T) {
 		}
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(raw)))
+		status = rec.Code
 		return rec.Body.Bytes()
 	}
 	wire := func(q core.Query, method string) RouteRequest {
@@ -492,14 +495,30 @@ func TestServedBodiesMatchEncodingJSON(t *testing.T) {
 		}
 	}
 	// A walking speed this small makes the arrival infinite, which
-	// encoding/json refuses: the answer is a 200 with an empty body.
+	// JSON cannot carry: the route is refused as a bad request that
+	// names the speed. A waiting walk this slow reaches nothing before
+	// midnight, so it answers no route.
 	q := query()
 	q.Target, q.Speed = jitter(rng, mv, q.Source), 5e-324
-	req := wire(q, "")
-	req.Speed = q.Speed
-	got := serve("/v1/venues/mall/route", req)
-	if want := referenceBody(resultResponse(mv, twin.Pool(core.MethodAsyn).RouteTraced(nil, q))); len(want) != 0 || len(got) != 0 {
-		t.Fatalf("route at 5e-324 m/s: served %q, reference %q; want both empty", got, want)
+	slow := func(method string) RouteRequest {
+		rq := wire(q, method)
+		rq.Speed = q.Speed
+		return rq
+	}
+	if res := twin.Pool(core.MethodAsyn).RouteTraced(nil, q); res.Err != nil || !math.IsInf(float64(res.Path.ArrivalAtTgt), 1) {
+		t.Fatalf("route at 5e-324 m/s: the pool answers %v, %v; want an infinite arrival", res.Path, res.Err)
+	}
+	got := serve("/v1/venues/mall/route", slow(""))
+	var refused struct {
+		Error *ErrorDoc `json:"error"`
+	}
+	decodeInto(t, got, &refused)
+	if e := refused.Error; status != http.StatusBadRequest || e == nil || e.Code != "bad_request" || !strings.Contains(e.Message, "5e-324 m/s") {
+		t.Fatalf("route at 5e-324 m/s: HTTP %d %s; want 400 bad_request naming the speed", status, got)
+	}
+	got = serve("/v1/venues/mall/route", slow("waiting"))
+	if status != http.StatusOK || !bytes.Equal(got, []byte(`{"found":false}`+"\n")) {
+		t.Fatalf("waiting route at 5e-324 m/s: HTTP %d %s; want no route", status, got)
 	}
 
 	qs := []core.Query{query(), query(), query()}
@@ -512,5 +531,21 @@ func TestServedBodiesMatchEncodingJSON(t *testing.T) {
 	results, sum := twin.Pool(core.MethodSyn).RouteBatchSummaryTraced(nil, qs)
 	if want := referenceBody(batchResponse(mv, results, sum)); !bytes.Equal(got, want) {
 		t.Fatalf("batch: served body differs at byte %d\n got: %s\nwant: %s", firstDiff(got, want), got, want)
+	}
+
+	// In a batch only the slow entry carries the error; the others and
+	// the cache summary are as before.
+	qs = []core.Query{query(), q, query()}
+	batch = BatchRequest{Method: "syn", Queries: []RouteRequest{wire(qs[0], ""), slow(""), wire(qs[2], "")}}
+	got = serve("/v1/venues/mall/route:batch", batch)
+	var resp BatchResponse
+	decodeInto(t, got, &resp)
+	if e := resp.Results[1].Error; status != http.StatusOK || e == nil || e.Code != "bad_request" || !strings.Contains(e.Message, "5e-324 m/s") {
+		t.Fatalf("batch with a route at 5e-324 m/s: HTTP %d %s; want entry 1 to carry a bad_request naming the speed", status, got)
+	}
+	results, sum = twin.Pool(core.MethodSyn).RouteBatchSummaryTraced(nil, qs)
+	refuseNonFinite(&results[1], q)
+	if want := referenceBody(batchResponse(mv, results, sum)); !bytes.Equal(got, want) {
+		t.Fatalf("batch with a route at 5e-324 m/s: served body differs at byte %d\n got: %s\nwant: %s", firstDiff(got, want), got, want)
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"path/filepath"
 	"runtime"
@@ -410,6 +411,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request, ve *Venue) 
 		s.finishAbortedTrace(tr, info, outcome)
 		return
 	}
+	refuseNonFinite(&res, q)
 	info.Hit, info.Coalesced, info.SharedRun = string(res.Hit), res.Coalesced, res.SharedRun
 	switch {
 	case res.Err == nil:
@@ -480,6 +482,9 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request, ve *Ve
 	if s.finishAborted(w, r, outcome, "batch") {
 		s.finishAbortedTrace(tr, info, outcome)
 		return
+	}
+	for i := range out.results {
+		refuseNonFinite(&out.results[i], qs[i])
 	}
 	info.Outcome = obs.OutcomeOK
 	sp = tr.Start(obs.StageRender)
@@ -634,10 +639,45 @@ func (s *Server) handleSchedules(w http.ResponseWriter, r *http.Request, ve *Ven
 	})
 }
 
+// errNonFinite is the error of an answer that JSON cannot carry.
+var errNonFinite = errors.New("the route's length, arrival or wait is not a finite number")
+
+// refuseNonFinite turns a found answer whose path holds a non-finite
+// length, arrival or wait (a walking speed so small that every walk
+// takes forever) into an error naming the speed, which errorDocOf
+// classifies as a bad request.
+func refuseNonFinite(res *service.Result, q core.Query) {
+	if res.Err != nil || finitePath(res.Path) {
+		return
+	}
+	speed := q.Speed
+	if speed == 0 {
+		speed = core.WalkingSpeedMPS
+	}
+	res.Path, res.Err = nil, fmt.Errorf("%w at walking speed %v m/s", errNonFinite, speed)
+}
+
+// finitePath reports whether every number of p's wire form is finite.
+func finitePath(p *core.Path) bool {
+	finite := func(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+	if !finite(p.Length) || !finite(float64(p.DepartedAt)) || !finite(float64(p.ArrivalAtTgt)) || !finite(float64(p.TotalWait)) {
+		return false
+	}
+	for _, t := range p.Arrivals {
+		if !finite(float64(t)) {
+			return false
+		}
+	}
+	return true
+}
+
 // errorDocOf classifies an engine error.
 func errorDocOf(err error) *ErrorDoc {
-	if errors.Is(err, core.ErrNotIndoor) {
+	switch {
+	case errors.Is(err, core.ErrNotIndoor):
 		return &ErrorDoc{Code: "not_indoor", Message: err.Error()}
+	case errors.Is(err, errNonFinite):
+		return badRequest("%v", err)
 	}
 	return &ErrorDoc{Code: "internal", Message: err.Error()}
 }
