@@ -86,15 +86,24 @@ func TestRunFig6And7Quick(t *testing.T) {
 		t.Fatalf("fig6/7 xs: %d, %d", len(f6.Xs), len(f7.Xs))
 	}
 	// Shape check: midnight searches must be cheaper than noon searches
-	// (temporal doors all closed → tiny reachable graph).
-	for _, fd := range []*FigureData{f6, f7} {
-		for _, s := range fd.Series {
-			night := s.Ys[0] // 0:00
-			noon := s.Ys[6]  // 12:00
-			if night >= noon {
-				t.Errorf("%s %s: night %.1f >= noon %.1f — plateau shape violated",
-					fd.ID, s.Name, night, noon)
-			}
+	// (temporal doors all closed → tiny reachable graph). Fig. 6 plots
+	// wall-clock times, which CPU contention can reorder, so its shape
+	// is read off the same cells' heap pops, which are deterministic;
+	// Fig. 7 plots the deterministic working-set model.
+	for si, s := range f6.Series {
+		night := f6.Cells[si][0].AvgPops // 0:00
+		noon := f6.Cells[si][6].AvgPops  // 12:00
+		if night >= noon {
+			t.Errorf("%s %s: night %.1f >= noon %.1f pops — plateau shape violated",
+				f6.ID, s.Name, night, noon)
+		}
+	}
+	for _, s := range f7.Series {
+		night := s.Ys[0] // 0:00
+		noon := s.Ys[6]  // 12:00
+		if night >= noon {
+			t.Errorf("%s %s: night %.1f >= noon %.1f — plateau shape violated",
+				f7.ID, s.Name, night, noon)
 		}
 	}
 	// Memory unit sanity: noon working set within 1KB..100MB.
