@@ -178,10 +178,14 @@ func (t *TopK) Len() int {
 	return n
 }
 
-// Capacity returns the fixed slot budget (0 on a nil receiver).
+// Capacity returns the fixed slot budget (0 on a nil receiver). The
+// lock orders the read after any append in Feed, which rewrites the
+// slice header.
 func (t *TopK) Capacity() int {
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return cap(t.slots)
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -163,11 +165,34 @@ func TestTopKSeen(t *testing.T) {
 }
 
 // TestTopKConcurrentFeeders hammers one table from many goroutines
-// that feed it and ask Seen (run under -race) and checks the
-// bounded-memory and summed-weight invariants afterwards.
+// that feed it and ask Seen while a scraper reads Capacity (run under
+// -race) and checks the bounded-memory and summed-weight invariants
+// afterwards.
 func TestTopKConcurrentFeeders(t *testing.T) {
 	tk := NewTopK(16)
 	const workers, perWorker = 8, 2000
+	// A scraper reads the capacity without ever feeding, so only
+	// Capacity's own locking orders its reads after Feed's appends.
+	done := make(chan struct{})
+	var reads atomic.Int64
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		bad := false
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if n := tk.Capacity(); n != 16 && !bad {
+				bad = true
+				t.Errorf("capacity = %d, want 16", n)
+			}
+			reads.Add(1)
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -184,6 +209,12 @@ func TestTopKConcurrentFeeders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// Let the scraper read at least once after every append.
+	for seen := reads.Load(); reads.Load() < seen+2; {
+		runtime.Gosched()
+	}
+	close(done)
+	scraper.Wait()
 	if tk.Len() > 16 {
 		t.Fatalf("table grew to %d slots, capacity 16", tk.Len())
 	}
