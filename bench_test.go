@@ -979,7 +979,7 @@ func BenchmarkServerRouteCoalesced(b *testing.B) {
 			if ratio >= 0.5 {
 				b.Fatalf("searches/query = %.3f, want < 0.5 (coalescing shared nothing): %+v", ratio, st)
 			}
-			cs := sr.Venues["hospital"].Coalesce["asyn"]
+			cs := sr.Venues["hospital"].Methods["asyn"].Coalesce
 			if cs.Groups == 0 || cs.Answers == 0 {
 				b.Fatalf("no coalesced groups recorded: %+v", cs)
 			}

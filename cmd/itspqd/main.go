@@ -28,10 +28,9 @@
 //
 //	GET  /healthz
 //	GET  /buildz
-//	GET  /statsz
+//	GET  /statsz    (filters: ?venue= ?method=)
 //	GET  /metricsz
 //	GET  /tracez    (filters: ?venue= ?method= ?min_ms= ?outcome=)
-//	GET  /cachez    (filters: ?venue= ?method=)
 //	GET  /v1/venues
 //	POST /v1/venues
 //	POST /v1/venues/{id}/route

@@ -236,10 +236,12 @@ func TestServeCoalesced(t *testing.T) {
 	}
 	var sr struct {
 		Venues map[string]struct {
-			Coalesce map[string]struct {
-				Groups  int64 `json:"coalesced_groups"`
-				Answers int64 `json:"coalesced_answers"`
-			} `json:"coalesce"`
+			Methods map[string]struct {
+				Coalesce struct {
+					Groups  int64 `json:"coalesced_groups"`
+					Answers int64 `json:"coalesced_answers"`
+				} `json:"coalesce"`
+			} `json:"methods"`
 		} `json:"venues"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&sr)
@@ -247,7 +249,7 @@ func TestServeCoalesced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := sr.Venues["hospital"].Coalesce["asyn"]
+	cs := sr.Venues["hospital"].Methods["asyn"].Coalesce
 	if cs.Groups != 1 || cs.Answers != 2 {
 		t.Fatalf("coalesce stats = %+v, want one 2-answer group", cs)
 	}

@@ -185,7 +185,7 @@
 // with cumulative door-to-door distances that remain once the
 // point-dependent first and last legs are stripped — keyed by (source
 // partition, target partition, checkpoint slot). The pool's hot-pair
-// table (the top pairs /cachez serves) decides: a build costs one
+// table (the top pairs /statsz serves) decides: a build costs one
 // search per entry door of the source partition, so a pair queried
 // only once never pays for one, and a pair's first miss only enters it
 // into the table. The table outlives schedule swaps, so after a swap a
@@ -218,7 +218,7 @@
 // then the engine; provenance rides the wire as "hit":"skeleton",
 // PoolStats counts SkeletonHits (the /statsz partition invariant
 // becomes exact + window + skeleton + deduped + misses == queries),
-// /cachez reports skeleton-store occupancy and per-pair day coverage,
+// /statsz reports skeleton-store occupancy and per-pair day coverage,
 // and a schedule swap drops the store with everything else — epochs
 // make a raced certification unstorable, exactly like the window
 // store. Two benchmarks self-check the layer in CI:
@@ -327,12 +327,12 @@
 //
 //	GET  /healthz                       liveness + venue count + start time + build
 //	GET  /buildz                        build provenance (go version, VCS revision) + uptime
-//	GET  /statsz                        per-venue, per-method pool counters
+//	GET  /statsz                        per-venue, per-method pool counters, cache
+//	                                    occupancy, hot OD pairs, store coverage and
+//	                                    per-search engine effort; filters ?venue= ?method=
 //	GET  /metricsz                      the same counters, Prometheus text format
 //	GET  /tracez                        recent request traces (slowest-K + sampled);
 //	                                    filters ?venue= ?method= ?min_ms= ?outcome=
-//	GET  /cachez                        cache occupancy + hot OD pairs + window
-//	                                    coverage + per-search engine effort
 //	GET  /v1/venues                     venue listing
 //	POST /v1/venues                     hot venue reload (preset / JSON dir)
 //	POST /v1/venues/{id}/route          one ITSPQ query
@@ -470,11 +470,12 @@
 //
 // Outcomes are ok, no_route, error, timeout and client_gone, so tail
 // latency of failures is separable from the happy path. Every scrape
-// of /statsz or /metricsz is built from ONE consistent snapshot per
-// venue, and the counter partition invariant — cache_hits +
-// window_hits + skeleton_hits + deduped + misses == queries,
+// of /statsz or /metricsz is built from ONE read of each pool, and the
+// counter partition invariant — cache_hits + window_hits +
+// skeleton_hits + deduped + misses == queries with misses >= 0 and
 // engine_searches <= misses — holds in every scraped body, even
-// mid-traffic.
+// mid-traffic. Label values on /metricsz carry exactly the text
+// format's three escapes (backslash, double quote, line feed).
 //
 // GET /tracez returns recent traces from a bounded ring: the
 // slowest-K requests plus a 1-in-N uniform sample, each a span list
@@ -527,40 +528,55 @@
 //
 // # Workload and cache introspection
 //
-// GET /cachez answers "what is the cache actually holding, and for
-// whom?" Per venue and method it reports, from ONE consistent snapshot
-// per scrape: exact-cache, window-store and skeleton-store occupancy
-// vs capacity with monotone capacity-eviction counters (they survive
-// schedule-update swaps; occupancy/eviction scalars also ride
+// GET /statsz also answers "what is the cache actually holding, and
+// for whom?" Each venue carries one document per method key under
+// "methods", gathered in ONE read of the pool per scrape. A pooled
+// method's document holds its pool counters (queries, hits, misses,
+// reasons), exact-cache, window-store and skeleton-store occupancy vs
+// capacity with monotone capacity-eviction counters (cache_*,
+// window*, skel_*: they survive schedule-update swaps and also ride
 // /metricsz as indoorpath_cache_* / indoorpath_window_* /
-// indoorpath_skeleton_* series); the skeleton store's per-pair
-// family/chain counts with whole-pair day coverage; the window store's
-// per-OD-pair coverage map — window and endpoint-family counts plus a
-// day-coverage fraction, the mean per-family share of the 24h
-// departure axis covered by stored validity windows (windows within a
-// family are disjoint, so the fraction lies in [0, 1]); and a hot-pair
-// table from a bounded space-saving heavy-hitter counter (obs.TopK —
-// always on, allocation-free per feed; BenchmarkTopKFeed self-checks
-// this in CI) tallying per (source partition, target partition) pair
-// the queries, exact/window hits, batch dedups, engine searches and
-// summed search effort, each tally exact up to the row's err_bound.
-// The top-K table is snapshotted before the pool counters in every
-// scrape, so pair tallies never exceed the body's query counter.
+// indoorpath_skeleton_* series), and:
 //
-// Per-search engine effort — heap pops, settled nodes, edge
-// relaxations and temporal-variation checks per engine run — feeds
-// count-valued histograms exported as
-// indoorpath_engine_effort_{pops,settled,relaxations,tv_checks} on
-// /metricsz and "engine_effort" on /statsz, turning "p95 latency rose"
-// into "p95 pops rose: searches got deeper" (or didn't: the engine is
-// fine, the serving layer isn't). /statsz and /cachez share
-// strict ?venue=/?method= filters: unknown parameters, unregistered
-// venues and unknown methods answer 400 rather than silently matching
-// everything. itspqreplay scrapes /cachez and the effort histograms
-// around every phase and records per-phase "hot_pairs" (top movers
-// with share of phase traffic) and "engine_effort" (mean/p95 pops and
-// TV checks per search) blocks in BENCH_replay.json; -v prints both
-// tables.
+//   - "top_pairs": a hot-pair table from a bounded space-saving
+//     heavy-hitter counter (obs.TopK — always on, allocation-free per
+//     feed; BenchmarkTopKFeed self-checks this in CI) tallying per
+//     (source partition, target partition) pair the queries,
+//     exact/window/skeleton hits, batch dedups, engine searches and
+//     summed search effort, each tally exact up to the row's
+//     err_bound, with "pair_capacity" the table's slot budget;
+//   - "window_pairs": the window store's per-OD-pair coverage rows —
+//     window and endpoint-family counts plus a day-coverage fraction,
+//     the mean per-family share of the 24h departure axis covered by
+//     stored validity windows (windows within a family are disjoint,
+//     so the fraction lies in [0, 1]);
+//   - "skeleton_pairs": the skeleton store's per-pair family and chain
+//     counts with whole-pair day coverage;
+//   - "engine_effort": per-search engine effort — heap pops, settled
+//     nodes, edge relaxations and temporal-variation checks per engine
+//     run — in count-valued histograms, exported as
+//     indoorpath_engine_effort_{pops,settled,relaxations,tv_checks} on
+//     /metricsz, turning "p95 latency rose" into "p95 pops rose:
+//     searches got deeper" (or didn't: the engine is fine, the serving
+//     layer isn't);
+//   - "request_seconds" (once the method has served a request) and
+//     "coalesce" (with -coalesce, once the method has routed).
+//
+// Both coverage listings stop at 64 rows; "window_pairs_total" and
+// "skeleton_pairs_total" count every pair, so truncation is never
+// silent. The pool is read top pairs, effort, coverage and then its
+// counters, queries last, so in every body each pair tally stays <=
+// the method's queries and occupancy <= capacity. The waiting method
+// and profile requests have no pool: their documents carry only
+// "request_seconds". The ?venue= and ?method= filters are strict:
+// unknown parameters, unregistered venues and method keys a body
+// cannot carry (anything but syn, asyn, static, waiting and profile)
+// answer 400 rather than silently matching everything. itspqreplay
+// reads the top pairs and effort histograms from the /statsz scrapes
+// it takes around every phase and records per-phase "hot_pairs" (top
+// movers with share of phase traffic) and "engine_effort" (mean/p95
+// pops and TV checks per search) blocks in BENCH_replay.json; -v
+// prints both tables.
 //
 // See the examples directory for runnable programs and DESIGN.md for
 // the paper-to-code mapping.

@@ -29,7 +29,7 @@ func main() {
 	// the shared-execution planner (itspqd -shared-batch): batch groups
 	// with a common endpoint are answered by one engine run each;
 	// WindowCache adds the validity-window temporal cache (itspqd
-	// -window-cache), whose coverage map /cachez renders below;
+	// -window-cache), whose coverage rows /statsz renders below;
 	// SkeletonCache adds the point-free door-to-door skeleton store
 	// (itspqd -skeleton-cache) the jittered wave below runs against.
 	reg := indoorpath.NewVenueRegistry(indoorpath.PoolOptions{
@@ -157,14 +157,15 @@ func main() {
 	show("metricsz (miss reasons)", grepLines(
 		call(ts.URL, http.MethodGet, "/metricsz", ""), "indoorpath_reason_miss_total"))
 
-	// /cachez is the cache-introspection view: exact-cache and
-	// window-store occupancy vs capacity with eviction counters, the
-	// per-OD-pair window coverage map (day_coverage = share of the 24h
-	// departure axis covered by stored validity windows), and the
-	// space-saving top-K pair table — which partition pairs dominate
-	// the traffic and how well each is served. Strict filters narrow
-	// the body: ?venue= / ?method= (typos answer 400, not "everything").
-	show("cachez (hospital/asyn)", call(ts.URL, http.MethodGet, "/cachez?venue=hospital&method=asyn", ""))
+	// Each /statsz method doc is also the cache-introspection view:
+	// exact-cache and window-store occupancy vs capacity with eviction
+	// counters, the per-OD-pair window coverage rows (day_coverage =
+	// share of the 24h departure axis covered by stored validity
+	// windows), and the space-saving top-K pair table — which partition
+	// pairs dominate the traffic and how well each is served. Strict
+	// filters narrow the body: ?venue= / ?method= (typos answer 400,
+	// not "everything").
+	show("statsz (hospital/asyn)", call(ts.URL, http.MethodGet, "/statsz?venue=hospital&method=asyn", ""))
 
 	// Per-search engine effort rides /metricsz as count-valued
 	// histograms: pops, settled, relaxations and temporal checks per

@@ -38,6 +38,7 @@
 package coalesce
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,12 +94,11 @@ type Stats struct {
 	// was delivered for a fraction of a dedicated engine search
 	// whenever the batch planner shared or deduplicated it.
 	Answers int64 `json:"coalesced_answers"`
-	// HoldBuckets is the per-answer hold-time histogram (time from
-	// enqueue to flush start): HoldBuckets[i] counts holds <=
-	// HoldBucketBounds[i] seconds but above the previous bound; the
-	// final element is the overflow bucket. Non-cumulative.
-	HoldBuckets [len(HoldBucketBounds) + 1]int64 `json:"hold_buckets"`
-	// HoldSumNanos is the total held time across all answers.
+	// Hold is the per-answer hold-time histogram (time from enqueue to
+	// flush start) over HoldBucketBounds.
+	Hold obs.HistogramSnapshot `json:"hold_seconds"`
+	// HoldSumNanos is the total held time across all answers (Hold's
+	// sum in nanoseconds).
 	HoldSumNanos int64 `json:"hold_sum_nanos"`
 	// MaxHoldNanos is the largest single hold observed.
 	MaxHoldNanos int64 `json:"max_hold_nanos"`
@@ -132,13 +132,12 @@ type Coalescer struct {
 	// newer window short.
 	gen uint64
 
-	queries     atomic.Int64
-	flushes     atomic.Int64
-	groups      atomic.Int64
-	answers     atomic.Int64
-	holdBuckets [len(HoldBucketBounds) + 1]atomic.Int64
-	holdSum     atomic.Int64
-	holdMax     atomic.Int64
+	queries atomic.Int64
+	flushes atomic.Int64
+	groups  atomic.Int64
+	answers atomic.Int64
+	holds   *obs.Histogram
+	holdMax atomic.Int64
 }
 
 // New builds a Coalescer over a pool. For cross-query sharing the pool
@@ -151,7 +150,8 @@ func New(pool *service.Pool, opts Options) *Coalescer {
 	if opts.MaxGroup <= 0 {
 		opts.MaxGroup = DefaultMaxGroup
 	}
-	return &Coalescer{pool: pool, hold: opts.Hold, maxGroup: opts.MaxGroup}
+	return &Coalescer{pool: pool, hold: opts.Hold, maxGroup: opts.MaxGroup,
+		holds: obs.NewHistogram(HoldBucketBounds[:])}
 }
 
 // Pool returns the pool flushes execute on.
@@ -251,16 +251,7 @@ func (c *Coalescer) flush(batch []waiter) {
 
 // observeHold records one answer's enqueue-to-flush latency.
 func (c *Coalescer) observeHold(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	secs := d.Seconds()
-	i := 0
-	for i < len(HoldBucketBounds) && secs > HoldBucketBounds[i] {
-		i++
-	}
-	c.holdBuckets[i].Add(1)
-	c.holdSum.Add(int64(d))
+	c.holds.Observe(d)
 	for {
 		max := c.holdMax.Load()
 		if int64(d) <= max || c.holdMax.CompareAndSwap(max, int64(d)) {
@@ -279,16 +270,14 @@ func (c *Coalescer) Stats() Stats {
 	groups := c.groups.Load()
 	answers := c.answers.Load()
 	flushes := c.flushes.Load()
-	s := Stats{
+	hold := c.holds.Snapshot()
+	return Stats{
 		Queries:      c.queries.Load(),
 		Flushes:      flushes,
 		Groups:       groups,
 		Answers:      answers,
-		HoldSumNanos: c.holdSum.Load(),
+		Hold:         hold,
+		HoldSumNanos: int64(math.Round(hold.SumSeconds * float64(time.Second))),
 		MaxHoldNanos: c.holdMax.Load(),
 	}
-	for i := range c.holdBuckets {
-		s.HoldBuckets[i] = c.holdBuckets[i].Load()
-	}
-	return s
 }

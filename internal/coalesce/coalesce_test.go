@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -236,12 +237,15 @@ func TestCoalescerObserveHoldBuckets(t *testing.T) {
 	c.observeHold(time.Second)             // overflow bucket
 	c.observeHold(-time.Millisecond)       // clamped to 0: bucket 0
 	st := c.Stats()
-	want := [len(HoldBucketBounds) + 1]int64{2, 2, 0, 0, 0, 0, 1}
-	if st.HoldBuckets != want {
-		t.Fatalf("buckets = %v, want %v", st.HoldBuckets, want)
+	want := []int64{2, 2, 0, 0, 0, 0, 1}
+	if !slices.Equal(st.Hold.Counts, want) || !slices.Equal(st.Hold.Bounds, HoldBucketBounds[:]) {
+		t.Fatalf("buckets = %v over %v, want %v over %v", st.Hold.Counts, st.Hold.Bounds, want, HoldBucketBounds)
 	}
 	if st.MaxHoldNanos != int64(time.Second) {
 		t.Fatalf("max hold = %d, want 1s", st.MaxHoldNanos)
+	}
+	if wantSum := int64(time.Second + 4*time.Millisecond); st.HoldSumNanos != wantSum {
+		t.Fatalf("hold sum = %d ns, want %d", st.HoldSumNanos, wantSum)
 	}
 }
 

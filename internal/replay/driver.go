@@ -236,7 +236,6 @@ func runPhase(client *http.Client, base, venue string, mv *model.Venue, ps *Phas
 	if err != nil {
 		return nil, nil, err
 	}
-	beforeCz := scrapeCachez(client, base, venue)
 
 	var fr *flipRunner
 	if len(ph.Flips) > 0 {
@@ -297,7 +296,6 @@ func runPhase(client *http.Client, base, venue string, mv *model.Venue, ps *Phas
 
 	phr := aggregatePhase(ph, results, oracle, before, after, venue)
 	phr.DurationSec = phaseDur.Seconds()
-	phr.HotPairs = hotPairDelta(beforeCz, scrapeCachez(client, base, venue), phr.StatsDelta.Queries)
 	if fr != nil {
 		fr.mu.Lock()
 		for _, e := range fr.errs {
@@ -446,6 +444,7 @@ func aggregatePhase(ph *Phase, results []qresult, oracle *phaseOracle, before, a
 	}
 	addObservability(phr, before, after, venue)
 	addEffortDelta(phr, before, after, venue)
+	phr.HotPairs = hotPairDelta(before.Venues[venue], after.Venues[venue], phr.StatsDelta.Queries)
 	return phr
 }
 
@@ -465,9 +464,8 @@ func statsDelta(before, after *server.StatsResponse, venue string) StatsDeltaDoc
 		d.SharedRuns += am.SharedRuns - bm.SharedRuns
 		d.SharedAnswers += am.SharedAnswers - bm.SharedAnswers
 		d.Reasons = d.Reasons.Add(am.Reasons.Sub(bm.Reasons))
-		bc, ac := b.Coalesce[m], a.Coalesce[m]
-		d.CoalesceFlushes += ac.Flushes - bc.Flushes
-		d.CoalescedAnswers += ac.Answers - bc.Answers
+		d.CoalesceFlushes += am.Coalesce.Flushes - bm.Coalesce.Flushes
+		d.CoalescedAnswers += am.Coalesce.Answers - bm.Coalesce.Answers
 	}
 	d.Epoch = a.Epoch - b.Epoch
 	d.Timeouts = after.Server.Timeouts - before.Server.Timeouts
@@ -490,26 +488,6 @@ func scrapeStats(client *http.Client, base string) (*server.StatsResponse, error
 		return nil, fmt.Errorf("replay: scrape /statsz: %w", err)
 	}
 	return &st, nil
-}
-
-// scrapeCachez reads the venue's /cachez block (per-method cache
-// introspection docs). The scrape is best-effort: nil against daemons
-// predating the endpoint (404) or on any transport/decode failure —
-// hot-pair deltas annotate the report, they must not fail a run.
-func scrapeCachez(client *http.Client, base, venue string) map[string]server.CacheMethodDoc {
-	resp, err := client.Get(base + "/cachez")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var cz server.CachezResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cz); err != nil {
-		return nil
-	}
-	return cz.Venues[venue]
 }
 
 // checkVenueServed verifies the daemon lists the scenario's venue.

@@ -96,8 +96,8 @@ type HistQuantilesDoc struct {
 }
 
 // HotPairDeltaDoc is one OD partition pair's traffic movement across a
-// phase, from the daemon's /cachez top-K tables (before/after deltas
-// summed over the venue's method pools). Tallies inherit the
+// phase, from the top-K tables of the daemon's /statsz (before/after
+// deltas summed over the venue's method pools). Tallies inherit the
 // space-saving table's error bounds, so Share is an estimate — good
 // for spotting skew, not for billing.
 type HotPairDeltaDoc struct {
@@ -155,8 +155,7 @@ type PhaseReport struct {
 	// phase, from the venue's request histogram delta.
 	HistLatency *HistQuantilesDoc `json:"hist_latency,omitempty"`
 	// HotPairs is the phase's top OD-pair traffic movement from the
-	// /cachez heavy-hitter tables (absent against daemons predating
-	// /cachez — both scrapes are best-effort).
+	// /statsz heavy-hitter tables (absent when no pair moved).
 	HotPairs []HotPairDeltaDoc `json:"hot_pairs,omitempty"`
 	// EngineEffort is the phase's per-search effort movement from the
 	// /statsz effort histograms (absent against daemons predating them
@@ -306,10 +305,10 @@ func addObservability(phr *PhaseReport, before, after *server.StatsResponse, ven
 			P95Ms:   quantileMs(d, 0.95),
 		})
 	}
-	bReq := before.Venues[venue].Requests
+	b := before.Venues[venue].Methods
 	var delta obs.HistogramSnapshot
-	for m, a := range after.Venues[venue].Requests {
-		delta = delta.Add(a.Sub(bReq[m]))
+	for m, a := range after.Venues[venue].Methods {
+		delta = delta.Add(a.Requests.Sub(b[m].Requests))
 	}
 	if delta.Count == 0 {
 		return
@@ -355,13 +354,13 @@ func quantileCount(s obs.HistogramSnapshot, q float64) float64 {
 // addEffortDelta fills the phase's engine-effort movement from the
 // before/after /statsz effort histograms, summed over the venue's
 // method pools. Stays absent against daemons predating the histograms
-// (nil EngineEffort maps) or when no engine search ran.
+// or when no engine search ran.
 func addEffortDelta(phr *PhaseReport, before, after *server.StatsResponse, venue string) {
-	bEff := before.Venues[venue].EngineEffort
+	b := before.Venues[venue].Methods
 	var pops, tv obs.HistogramSnapshot
-	for m, a := range after.Venues[venue].EngineEffort {
-		pops = pops.Add(a.Pops.Sub(bEff[m].Pops))
-		tv = tv.Add(a.TVChecks.Sub(bEff[m].TVChecks))
+	for m, a := range after.Venues[venue].Methods {
+		pops = pops.Add(a.EngineEffort.Pops.Sub(b[m].EngineEffort.Pops))
+		tv = tv.Add(a.EngineEffort.TVChecks.Sub(b[m].EngineEffort.TVChecks))
 	}
 	if pops.Count == 0 {
 		return
@@ -380,26 +379,23 @@ func addEffortDelta(phr *PhaseReport, before, after *server.StatsResponse, venue
 const hotPairsCap = 5
 
 // hotPairDelta derives a phase's top OD-pair traffic movement from
-// before/after /cachez scrapes: per-pair query deltas summed over the
+// before/after /statsz scrapes: per-pair query deltas summed over the
 // venue's method pools, heaviest first, capped at hotPairsCap rows.
 // totalQueries (the phase's server-side query delta) scales Share.
 // Pairs evicted from the space-saving table mid-phase under-count;
 // pairs admitted by takeover inherit the evictee's weight — the table
 // bounds the error (HotPairDoc.ErrBound) but the delta stays an
 // estimate.
-func hotPairDelta(before, after map[string]server.CacheMethodDoc, totalQueries int64) []HotPairDeltaDoc {
-	if after == nil {
-		return nil
-	}
+func hotPairDelta(before, after server.VenueStatsDoc, totalQueries int64) []HotPairDeltaDoc {
 	type pk struct{ src, tgt string }
 	base := make(map[pk]int64)
-	for _, doc := range before {
+	for _, doc := range before.Methods {
 		for _, p := range doc.TopPairs {
 			base[pk{p.Src, p.Tgt}] += p.Queries
 		}
 	}
 	moved := make(map[pk]int64)
-	for _, doc := range after {
+	for _, doc := range after.Methods {
 		for _, p := range doc.TopPairs {
 			moved[pk{p.Src, p.Tgt}] += p.Queries
 		}
@@ -433,7 +429,7 @@ func hotPairDelta(before, after map[string]server.CacheMethodDoc, totalQueries i
 
 // HotPairsTable renders the per-phase hot-pair movement as an aligned
 // text table (printed by itspqreplay -v). Empty when no phase carries
-// hot pairs (e.g. against a daemon predating /cachez).
+// hot pairs.
 func (r *Report) HotPairsTable() string {
 	var sb strings.Builder
 	header := false

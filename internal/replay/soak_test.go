@@ -142,7 +142,7 @@ func TestSteadyReplay(t *testing.T) {
 
 	// The cache-introspection deltas: the phase runs engine searches,
 	// so the effort block must be populated and self-consistent, and
-	// the /cachez hot-pair delta must cover some of the phase's
+	// the /statsz hot-pair delta must cover some of the phase's
 	// traffic with shares that cannot exceed the whole.
 	if ph.EngineEffort == nil {
 		t.Fatal("no engine-effort delta in the phase report")

@@ -16,8 +16,8 @@ import (
 // daemon stays dependency-free. Output is deterministic — venues sorted
 // by ID (Registry.Venues), methods in pooledMethods order — so scrapes
 // and tests see stable series ordering. One scrape renders one
-// snapshotStats() call: every series in a response body comes from the
-// same per-venue counter read.
+// snapshotStats call, without the coverage rows it does not render:
+// every series in a response body comes from one read of each pool.
 
 // metricsContentType is the Prometheus text exposition content type.
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -28,77 +28,78 @@ type metricDef struct {
 	name  string
 	kind  string // counter | gauge
 	help  string
-	value func(VenueStatsDoc, string) int64
+	value func(service.Stats) int64
 }
 
 var poolMetrics = []metricDef{
 	{"indoorpath_pool_queries_total", "counter",
 		"Route calls and batch entries served, per venue and engine method.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].Queries }},
+		func(s service.Stats) int64 { return s.Queries }},
 	{"indoorpath_pool_batches_total", "counter",
 		"RouteBatch calls served.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].Batches }},
+		func(s service.Stats) int64 { return s.Batches }},
 	{"indoorpath_pool_exact_hits_total", "counter",
 		"Outcomes served from the exact-identity result cache.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].CacheHits }},
+		func(s service.Stats) int64 { return s.CacheHits }},
 	{"indoorpath_pool_window_hits_total", "counter",
 		"Outcomes served from the validity-window temporal result cache.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].WindowHits }},
+		func(s service.Stats) int64 { return s.WindowHits }},
 	{"indoorpath_pool_skeleton_hits_total", "counter",
 		"Outcomes composed from a stored door-to-door skeleton family.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SkeletonHits }},
+		func(s service.Stats) int64 { return s.SkeletonHits }},
 	{"indoorpath_pool_deduped_total", "counter",
 		"Batch entries shared from an identical query in the same batch.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].Deduped }},
+		func(s service.Stats) int64 { return s.Deduped }},
 	{"indoorpath_pool_engine_searches_total", "counter",
 		"Queries answered by running an engine search (cache misses).",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].EngineSearches }},
+		func(s service.Stats) int64 { return s.EngineSearches }},
 	{"indoorpath_pool_shared_runs_total", "counter",
 		"Multi-query shared executions: engine runs answering a whole batch group.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SharedRuns }},
+		func(s service.Stats) int64 { return s.SharedRuns }},
 	{"indoorpath_pool_shared_answers_total", "counter",
 		"Batch entries answered by a shared multi-query engine run.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SharedAnswers }},
+		func(s service.Stats) int64 { return s.SharedAnswers }},
 	{"indoorpath_pool_engines_created_total", "counter",
 		"Engines constructed rather than reused from the pool.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].EnginesCreated }},
+		func(s service.Stats) int64 { return s.EnginesCreated }},
 	{"indoorpath_pool_epoch", "gauge",
 		"Backend generation: graph swaps applied to the pool since start.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].Epoch }},
+		func(s service.Stats) int64 { return s.Epoch }},
 	{"indoorpath_cache_entries", "gauge",
 		"Exact-identity result-cache occupancy (entries currently held).",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].CacheEntries }},
+		func(s service.Stats) int64 { return s.CacheEntries }},
 	{"indoorpath_cache_capacity", "gauge",
 		"Exact-identity result-cache entry capacity.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].CacheCapacity }},
+		func(s service.Stats) int64 { return s.CacheCapacity }},
 	{"indoorpath_cache_evictions_total", "counter",
 		"Exact-cache entries shed by capacity eviction (invalidation swaps excluded); survives backend swaps.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].CacheEvictions }},
+		func(s service.Stats) int64 { return s.CacheEvictions }},
 	{"indoorpath_window_entries", "gauge",
 		"Validity-window store occupancy (windows currently held).",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].Windows }},
+		func(s service.Stats) int64 { return s.Windows }},
 	{"indoorpath_window_capacity", "gauge",
 		"Validity-window store window capacity.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].WindowCapacity }},
+		func(s service.Stats) int64 { return s.WindowCapacity }},
 	{"indoorpath_window_evictions_total", "counter",
 		"Window-store windows shed by capacity eviction; survives backend swaps.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].WindowEvictions }},
+		func(s service.Stats) int64 { return s.WindowEvictions }},
 	{"indoorpath_skeleton_families", "gauge",
 		"Skeleton-family store occupancy (slot families currently held).",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SkelFamilies }},
+		func(s service.Stats) int64 { return s.SkelFamilies }},
 	{"indoorpath_skeleton_capacity", "gauge",
 		"Skeleton-family store family capacity.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SkelCapacity }},
+		func(s service.Stats) int64 { return s.SkelCapacity }},
 	{"indoorpath_skeleton_evictions_total", "counter",
 		"Skeleton families shed by capacity eviction; survives backend swaps.",
-		func(d VenueStatsDoc, m string) int64 { return d.Methods[m].SkelEvictions }},
+		func(s service.Stats) int64 { return s.SkelEvictions }},
 }
 
 // handleMetricsz renders every pool counter, the request/stage latency
 // histograms and per-venue and process gauges in Prometheus text
 // format.
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	sn := s.snapshotStats()
+	sn := s.snapshotStats(scopeFilter{}, false)
+	rows := sn.pooledRows()
 	var sb strings.Builder
 
 	fmt.Fprintf(&sb, "# HELP indoorpath_venues Venues registered in the serving registry.\n")
@@ -108,17 +109,14 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&sb, "# HELP indoorpath_venue_epoch Schedule updates applied to the venue.\n")
 	fmt.Fprintf(&sb, "# TYPE indoorpath_venue_epoch gauge\n")
 	for i, ve := range sn.venues {
-		fmt.Fprintf(&sb, "indoorpath_venue_epoch{venue=%q} %d\n", ve.ID(), sn.docs[i].Epoch)
+		fmt.Fprintf(&sb, "indoorpath_venue_epoch{%s} %d\n", labels("venue", ve.ID()), sn.docs[i].Epoch)
 	}
 
 	for _, md := range poolMetrics {
 		fmt.Fprintf(&sb, "# HELP %s %s\n", md.name, md.help)
 		fmt.Fprintf(&sb, "# TYPE %s %s\n", md.name, md.kind)
-		for i, ve := range sn.venues {
-			for _, m := range pooledMethods {
-				fmt.Fprintf(&sb, "%s{venue=%q,method=%q} %d\n",
-					md.name, ve.ID(), methodName(m), md.value(sn.docs[i], methodName(m)))
-			}
+		for _, r := range rows {
+			fmt.Fprintf(&sb, "%s{%s} %d\n", md.name, r.labels, md.value(*r.doc.Stats))
 		}
 	}
 
@@ -133,22 +131,65 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&sb, "indoorpath_server_client_gone_total %d\n", sn.server.ClientGone)
 
 	if s.opts.Coalesce {
-		writeCoalesceMetrics(&sb, sn)
+		writeCoalesceMetrics(&sb, rows)
 	}
-	writeReasonMetrics(&sb, sn)
+	writeReasonMetrics(&sb, rows)
 	writeLatencyMetrics(&sb, sn)
-	writeEffortMetrics(&sb, sn)
+	writeEffortMetrics(&sb, rows)
 
 	w.Header().Set("Content-Type", metricsContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(sb.String()))
 }
 
+// pooledRow is one (venue, pooled method) doc of a snapshot with its
+// rendered venue and method labels.
+type pooledRow struct {
+	labels string
+	doc    MethodStatsDoc
+}
+
+// pooledRows lists the snapshot's pooled-method docs in series order:
+// venues by ID, methods in pooledMethods order.
+func (sn statsSnapshot) pooledRows() []pooledRow {
+	rows := make([]pooledRow, 0, len(sn.venues)*len(pooledMethods))
+	for i, ve := range sn.venues {
+		for _, m := range pooledMethods {
+			rows = append(rows, pooledRow{
+				labels: labels("venue", ve.ID(), "method", methodName(m)),
+				doc:    sn.docs[i].Methods[methodName(m)],
+			})
+		}
+	}
+	return rows
+}
+
+// labelEscaper applies the text format's only label-value escapes:
+// backslash, double quote and line feed.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labels renders name/value pairs as a label list without braces,
+// e.g. venue="mall",method="asyn". Every label value goes through
+// here.
+func labels(pairs ...string) string {
+	var sb strings.Builder
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(pairs[i])
+		sb.WriteString(`="`)
+		labelEscaper.WriteString(&sb, pairs[i+1])
+		sb.WriteByte('"')
+	}
+	return sb.String()
+}
+
 // writeReasonMetrics renders the cumulative decision-provenance
 // counters: why queries missed the caches and why plan members ran
 // solo, per (venue, method, reason). Reasons with zero counts are
 // omitted so the families stay proportional to what actually happened.
-func writeReasonMetrics(sb *strings.Builder, sn statsSnapshot) {
+func writeReasonMetrics(sb *strings.Builder, rows []pooledRow) {
 	families := []struct {
 		name, help string
 		miss       bool
@@ -161,15 +202,13 @@ func writeReasonMetrics(sb *strings.Builder, sn statsSnapshot) {
 	for _, fam := range families {
 		fmt.Fprintf(sb, "# HELP %s %s\n", fam.name, fam.help)
 		fmt.Fprintf(sb, "# TYPE %s counter\n", fam.name)
-		for i, ve := range sn.venues {
-			for _, m := range pooledMethods {
-				for _, rc := range sn.docs[i].Methods[methodName(m)].Reasons.Counts() {
-					if rc.Count == 0 || rc.Reason.IsMiss() != fam.miss {
-						continue
-					}
-					fmt.Fprintf(sb, "%s{venue=%q,method=%q,reason=%q} %d\n",
-						fam.name, ve.ID(), methodName(m), rc.Reason.String(), rc.Count)
+		for _, r := range rows {
+			for _, rc := range r.doc.Reasons.Counts() {
+				if rc.Count == 0 || rc.Reason.IsMiss() != fam.miss {
+					continue
 				}
+				fmt.Fprintf(sb, "%s{%s,%s} %d\n",
+					fam.name, r.labels, labels("reason", rc.Reason.String()), rc.Count)
 			}
 		}
 	}
@@ -183,13 +222,13 @@ func writeLatencyMetrics(sb *strings.Builder, sn statsSnapshot) {
 	fmt.Fprintf(sb, "# HELP indoorpath_request_seconds End-to-end request latency per venue, engine method and outcome.\n")
 	fmt.Fprintf(sb, "# TYPE indoorpath_request_seconds histogram\n")
 	for _, k := range obs.SortedRequestKeys(sn.requests) {
-		labels := fmt.Sprintf("venue=%q,method=%q,outcome=%q", k.Venue, k.Method, k.Outcome)
-		writeHistogramSeries(sb, "indoorpath_request_seconds", labels, sn.requests[k])
+		writeHistogramSeries(sb, "indoorpath_request_seconds",
+			labels("venue", k.Venue, "method", k.Method, "outcome", k.Outcome), sn.requests[k])
 	}
 	fmt.Fprintf(sb, "# HELP indoorpath_stage_seconds Time spent per request-pipeline stage, process-wide.\n")
 	fmt.Fprintf(sb, "# TYPE indoorpath_stage_seconds histogram\n")
 	for _, stage := range obs.StageNames() {
-		writeHistogramSeries(sb, "indoorpath_stage_seconds", fmt.Sprintf("stage=%q", stage), sn.stages[stage])
+		writeHistogramSeries(sb, "indoorpath_stage_seconds", labels("stage", stage), sn.stages[stage])
 	}
 }
 
@@ -218,35 +257,32 @@ var effortMetrics = []struct {
 // writeEffortMetrics renders the per-search engine-effort histograms
 // per (venue, method), from the same snapshot as the pool counters, in
 // the deterministic pool-metric order.
-func writeEffortMetrics(sb *strings.Builder, sn statsSnapshot) {
+func writeEffortMetrics(sb *strings.Builder, rows []pooledRow) {
 	for _, md := range effortMetrics {
 		fmt.Fprintf(sb, "# HELP %s %s\n", md.name, md.help)
 		fmt.Fprintf(sb, "# TYPE %s histogram\n", md.name)
-		for i, ve := range sn.venues {
-			for _, m := range pooledMethods {
-				labels := fmt.Sprintf("venue=%q,method=%q", ve.ID(), methodName(m))
-				writeHistogramSeries(sb, md.name, labels, md.value(sn.docs[i].EngineEffort[methodName(m)]))
-			}
+		for _, r := range rows {
+			writeHistogramSeries(sb, md.name, r.labels, md.value(r.doc.EngineEffort))
 		}
 	}
 }
 
 // writeHistogramSeries renders one histogram in Prometheus text
 // format: cumulative _bucket lines, the +Inf bucket, _sum and _count.
-// labels is the pre-rendered label list without a trailing comma.
-func writeHistogramSeries(sb *strings.Builder, name, labels string, snap obs.HistogramSnapshot) {
+// lbls is the rendered label list (see labels).
+func writeHistogramSeries(sb *strings.Builder, name, lbls string, snap obs.HistogramSnapshot) {
 	cum := int64(0)
 	for i, bound := range snap.Bounds {
 		cum += snap.Counts[i]
-		fmt.Fprintf(sb, "%s_bucket{%s,le=%q} %d\n",
-			name, labels, strconv.FormatFloat(bound, 'g', -1, 64), cum)
+		fmt.Fprintf(sb, "%s_bucket{%s,%s} %d\n",
+			name, lbls, labels("le", strconv.FormatFloat(bound, 'g', -1, 64)), cum)
 	}
 	if len(snap.Counts) > len(snap.Bounds) {
 		cum += snap.Counts[len(snap.Bounds)]
 	}
-	fmt.Fprintf(sb, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(sb, "%s_sum{%s} %g\n", name, labels, snap.SumSeconds)
-	fmt.Fprintf(sb, "%s_count{%s} %d\n", name, labels, cum)
+	fmt.Fprintf(sb, "%s_bucket{%s,%s} %d\n", name, lbls, labels("le", "+Inf"), cum)
+	fmt.Fprintf(sb, "%s_sum{%s} %g\n", name, lbls, snap.SumSeconds)
+	fmt.Fprintf(sb, "%s_count{%s} %d\n", name, lbls, cum)
 }
 
 // coalesceMetrics are the counter families over the standing
@@ -275,41 +311,24 @@ var coalesceMetrics = []struct {
 // snapshot the rest of the scrape uses. Series appear for every
 // (venue, pooled method) whose coalescer exists — i.e. that has routed
 // at least once — in the same deterministic order as the pool metrics.
-func writeCoalesceMetrics(sb *strings.Builder, sn statsSnapshot) {
-	type row struct {
-		venue, method string
-		st            coalesce.Stats
-	}
-	var rows []row
-	for i, ve := range sn.venues {
-		for _, m := range pooledMethods {
-			if st, ok := sn.docs[i].Coalesce[methodName(m)]; ok {
-				rows = append(rows, row{ve.ID(), methodName(m), st})
-			}
+func writeCoalesceMetrics(sb *strings.Builder, rows []pooledRow) {
+	var coal []pooledRow
+	for _, r := range rows {
+		// A coalescer's stats always carry its hold histogram's bounds.
+		if r.doc.Coalesce.Hold.Bounds != nil {
+			coal = append(coal, r)
 		}
 	}
 	for _, md := range coalesceMetrics {
 		fmt.Fprintf(sb, "# HELP %s %s\n", md.name, md.help)
 		fmt.Fprintf(sb, "# TYPE %s counter\n", md.name)
-		for _, r := range rows {
-			fmt.Fprintf(sb, "%s{venue=%q,method=%q} %d\n", md.name, r.venue, r.method, md.value(r.st))
+		for _, r := range coal {
+			fmt.Fprintf(sb, "%s{%s} %d\n", md.name, r.labels, md.value(r.doc.Coalesce))
 		}
 	}
 	fmt.Fprintf(sb, "# HELP indoorpath_coalesce_hold_seconds Time a solo request was held between arrival and its flush starting.\n")
 	fmt.Fprintf(sb, "# TYPE indoorpath_coalesce_hold_seconds histogram\n")
-	for _, r := range rows {
-		cum := int64(0)
-		for i, bound := range coalesce.HoldBucketBounds {
-			cum += r.st.HoldBuckets[i]
-			fmt.Fprintf(sb, "indoorpath_coalesce_hold_seconds_bucket{venue=%q,method=%q,le=%q} %d\n",
-				r.venue, r.method, strconv.FormatFloat(bound, 'g', -1, 64), cum)
-		}
-		cum += r.st.HoldBuckets[len(coalesce.HoldBucketBounds)]
-		fmt.Fprintf(sb, "indoorpath_coalesce_hold_seconds_bucket{venue=%q,method=%q,le=\"+Inf\"} %d\n",
-			r.venue, r.method, cum)
-		fmt.Fprintf(sb, "indoorpath_coalesce_hold_seconds_sum{venue=%q,method=%q} %g\n",
-			r.venue, r.method, float64(r.st.HoldSumNanos)/1e9)
-		fmt.Fprintf(sb, "indoorpath_coalesce_hold_seconds_count{venue=%q,method=%q} %d\n",
-			r.venue, r.method, cum)
+	for _, r := range coal {
+		writeHistogramSeries(sb, "indoorpath_coalesce_hold_seconds", r.labels, r.doc.Coalesce.Hold)
 	}
 }

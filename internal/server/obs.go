@@ -6,7 +6,12 @@ import (
 	"runtime/debug"
 	"strconv"
 
+	"indoorpath/internal/coalesce"
+	"indoorpath/internal/model"
 	"indoorpath/internal/obs"
+	"indoorpath/internal/service"
+	"indoorpath/internal/tcache"
+	"indoorpath/internal/temporal"
 )
 
 // This file is the server side of the observability surface: GET
@@ -62,9 +67,8 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TracezResponse{Count: len(traces), Traces: traces})
 }
 
-// scopeFilter is a validated ?venue=/?method= narrowing of a
-// fleet-wide introspection endpoint (/statsz, /cachez). Empty
-// fields match everything.
+// scopeFilter is a validated ?venue=/?method= narrowing of /statsz.
+// Empty fields match everything.
 type scopeFilter struct {
 	venue  string
 	method string
@@ -73,11 +77,11 @@ type scopeFilter struct {
 func (f scopeFilter) matchVenue(id string) bool { return f.venue == "" || f.venue == id }
 func (f scopeFilter) matchMethod(m string) bool { return f.method == "" || f.method == m }
 
-// parseScopeFilter validates the shared ?venue= / ?method= query
-// parameters, mirroring the /tracez filter semantics: unknown
-// parameters are a hard 400, and — stricter than /tracez, whose
-// filters match free-form trace labels — so are unregistered venues
-// and unknown pooled methods. A typoed filter silently matching
+// parseScopeFilter validates the ?venue= / ?method= query parameters,
+// mirroring the /tracez filter semantics: unknown parameters are a
+// hard 400, and — stricter than /tracez, whose filters match
+// free-form trace labels — so are unregistered venues and method keys
+// a /statsz body cannot carry. A typoed filter silently matching
 // everything (or nothing) is exactly how scrape triage goes wrong.
 // Reports ok=false after writing the error response itself.
 func (s *Server) parseScopeFilter(w http.ResponseWriter, r *http.Request) (scopeFilter, bool) {
@@ -99,10 +103,10 @@ func (s *Server) parseScopeFilter(w http.ResponseWriter, r *http.Request) (scope
 		}
 	}
 	switch f.method {
-	case "", methodSyn, methodAsyn, methodStatic:
+	case "", methodSyn, methodAsyn, methodStatic, methodWaiting, methodProfile:
 	default:
 		writeError(w, http.StatusBadRequest,
-			badRequest("unknown method %q (want syn, asyn or static)", f.method))
+			badRequest("unknown method %q (want syn, asyn, static, waiting or profile)", f.method))
 		return scopeFilter{}, false
 	}
 	return f, true
@@ -132,9 +136,8 @@ func readBuildInfo() BuildInfoDoc {
 
 // statsSnapshot is one scrape's view of every counter the server
 // exposes. /statsz and /metricsz render the same snapshot, so the two
-// endpoints cannot disagree within one scrape, and each venue's
-// counters are read exactly once per scrape (one ve.Stats() call per
-// venue — epoch and pool counters come from the same read).
+// endpoints cannot disagree within one scrape, and each pool is read
+// exactly once per scrape.
 type statsSnapshot struct {
 	venues   []*Venue
 	docs     []VenueStatsDoc // aligned with venues
@@ -143,44 +146,135 @@ type statsSnapshot struct {
 	server   ServerStatsDoc
 }
 
-// snapshotStats collects one consistent scrape. Individual counters
-// are independent atomics, so a snapshot taken under concurrent
-// traffic can be torn between counters — but the per-pool read order
-// inside service.Stats guarantees the serving-partition invariant
-// (cache_hits + window_hits + deduped + misses == queries, misses >=
-// engine-run lower bound) holds in every snapshot regardless.
-func (s *Server) snapshotStats() statsSnapshot {
-	venues := s.reg.Venues()
+// maxPairRows caps each per-pair coverage listing of a method doc.
+const maxPairRows = 64
+
+// snapshotStats gathers one scrape of the venues and methods f
+// matches. Counters are independent atomics, so a scrape racing
+// traffic can be torn between counters; the read order of
+// methodStats keeps every MethodStatsDoc invariant in every body
+// regardless. coverage adds the window and skeleton coverage rows,
+// which only /statsz renders: their walk visits every stored pair and
+// costs more than the rest of the scrape together.
+func (s *Server) snapshotStats(f scopeFilter, coverage bool) statsSnapshot {
 	sn := statsSnapshot{
-		venues:   venues,
-		docs:     make([]VenueStatsDoc, len(venues)),
 		requests: s.obsv.RequestSnapshots(),
 		stages:   s.obsv.StageSnapshots(),
 		server:   ServerStatsDoc{Timeouts: s.timeouts.Load(), ClientGone: s.clientGone.Load()},
 	}
-	for i, ve := range venues {
-		doc := ve.Stats()
-		doc.Coalesce = s.coalesceStats(ve)
-		doc.Requests = venueRequestSnapshots(sn.requests, ve.ID())
-		sn.docs[i] = doc
+	for _, ve := range s.reg.Venues() {
+		if !f.matchVenue(ve.ID()) {
+			continue
+		}
+		doc := VenueStatsDoc{Epoch: ve.Epoch(), Methods: make(map[string]MethodStatsDoc, len(pooledMethods))}
+		mv := ve.Model()
+		for _, m := range pooledMethods {
+			if name := methodName(m); f.matchMethod(name) {
+				doc.Methods[name] = s.methodStats(ve.Pool(m), mv, coverage)
+			}
+		}
+		// Request histograms merge over outcomes, one per method key.
+		for k, h := range sn.requests {
+			if k.Venue == ve.ID() && f.matchMethod(k.Method) {
+				md := doc.Methods[k.Method]
+				md.Requests = md.Requests.Add(h)
+				doc.Methods[k.Method] = md
+			}
+		}
+		sn.venues = append(sn.venues, ve)
+		sn.docs = append(sn.docs, doc)
 	}
 	return sn
 }
 
-// venueRequestSnapshots extracts one venue's request-latency
-// histograms from the full per-(venue, method, outcome) map, merged
-// over outcomes so /statsz clients (internal/replay) see one
-// histogram per method. Nil when the venue has not served a request.
-func venueRequestSnapshots(all map[obs.RequestKey]obs.HistogramSnapshot, venueID string) map[string]obs.HistogramSnapshot {
-	var out map[string]obs.HistogramSnapshot
-	for k, snap := range all {
-		if k.Venue != venueID {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]obs.HistogramSnapshot)
-		}
-		out[k.Method] = out[k.Method].Add(snap)
+// methodStats reads one pool: top pairs, effort histograms, window
+// and skeleton coverage, then Stats, whose query counter is read last
+// and so bounds every tally read before it. Occupancy and capacity
+// come from one locked read each.
+func (s *Server) methodStats(pool *service.Pool, mv *model.Venue, coverage bool) MethodStatsDoc {
+	pairs := pool.HotPairs()
+	effort := pool.Effort()
+	var windows, skels []tcache.PairCoverage
+	if coverage {
+		windows, skels = pool.WindowCoverage(), pool.SkeletonCoverage()
 	}
-	return out
+	st := pool.Stats()
+	doc := MethodStatsDoc{
+		Stats:              &st,
+		EngineEffort:       effort,
+		PairCapacity:       pool.HotPairCapacity(),
+		WindowPairsTotal:   len(windows),
+		SkeletonPairsTotal: len(skels),
+	}
+	if c, ok := s.coal.Load(pool); ok {
+		doc.Coalesce = c.(*coalesce.Coalescer).Stats()
+	}
+
+	top := make(map[tcache.Key]int, len(pairs)) // top pair -> row
+	for _, pc := range pairs {
+		key := tcache.Key{Src: model.PartitionID(pc.Key.Src), Tgt: model.PartitionID(pc.Key.Tgt)}
+		top[key] = len(doc.TopPairs)
+		doc.TopPairs = append(doc.TopPairs, HotPairDoc{
+			Src:            partName(mv, key.Src),
+			Tgt:            partName(mv, key.Tgt),
+			Queries:        pc.Queries,
+			ExactHits:      pc.ExactHits,
+			WindowHits:     pc.WindowHits,
+			SkeletonHits:   pc.SkeletonHits,
+			Deduped:        pc.Deduped,
+			EngineSearches: pc.EngineSearches,
+			Effort:         pc.Effort,
+			ErrBound:       pc.ErrBound,
+			ExactHitRate:   ratio(pc.ExactHits, pc.Queries),
+			WindowHitRate:  ratio(pc.WindowHits, pc.Queries),
+		})
+	}
+	// Coverage rows come most windows (chains) first, as tcache sorts
+	// them.
+	for i, pc := range windows {
+		if i < maxPairRows {
+			doc.WindowPairs = append(doc.WindowPairs, WindowPairDoc{
+				Src:         partName(mv, pc.Key.Src),
+				Tgt:         partName(mv, pc.Key.Tgt),
+				Families:    pc.Families,
+				Windows:     pc.Windows,
+				DayCoverage: dayCoverage(pc),
+			})
+		}
+		if row, ok := top[pc.Key]; ok {
+			doc.TopPairs[row].DayCoverage = dayCoverage(pc)
+		}
+	}
+	for _, pc := range skels[:min(len(skels), maxPairRows)] {
+		doc.SkeletonPairs = append(doc.SkeletonPairs, SkeletonPairDoc{
+			Src:         partName(mv, pc.Key.Src),
+			Tgt:         partName(mv, pc.Key.Tgt),
+			Families:    pc.Families,
+			Chains:      pc.Windows,
+			DayCoverage: pc.CoveredSec / float64(temporal.DaySeconds),
+		})
+	}
+	return doc
+}
+
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// dayCoverage derives a pair's mean per-family share of the 24h
+// departure axis. Windows within one family are disjoint, so the
+// value lies in [0, 1].
+func dayCoverage(pc tcache.PairCoverage) float64 {
+	if pc.Families == 0 {
+		return 0
+	}
+	return pc.CoveredSec / (float64(pc.Families) * float64(temporal.DaySeconds))
+}
+
+// partName resolves a partition ID against the venue model.
+func partName(mv *model.Venue, id model.PartitionID) string {
+	return mv.Partition(id).Name
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"indoorpath/internal/obs"
+	"indoorpath/internal/service"
 )
 
 // routeAt posts one hospital route (ER centre to ward centre) at the
@@ -203,24 +204,80 @@ func metricValue(t testing.TB, body, series string) int64 {
 // pool counters: every query is a cache hit, a window hit, a skeleton
 // composition, a batch dedup or a miss, and engine runs never exceed
 // misses. Guaranteed even in torn snapshots by the pool's counter read
-// order.
-func checkPartition(t testing.TB, where string, queries, cacheHits, windowHits, skeletonHits, deduped, engineSearches int64) {
+// order. Reports whether both comparisons held.
+func checkPartition(t testing.TB, where string, queries, cacheHits, windowHits, skeletonHits, deduped, engineSearches int64) bool {
 	t.Helper()
 	misses := queries - cacheHits - windowHits - skeletonHits - deduped
 	if misses < 0 {
 		t.Errorf("%s: misses = %d - %d - %d - %d - %d = %d < 0",
 			where, queries, cacheHits, windowHits, skeletonHits, deduped, misses)
+		return false
 	}
 	if engineSearches > misses {
 		t.Errorf("%s: engine_searches %d > misses %d", where, engineSearches, misses)
+		return false
 	}
+	return true
+}
+
+// checkStats is checkPartition over one pool's service.Stats.
+func checkStats(t testing.TB, where string, st *service.Stats) bool {
+	t.Helper()
+	return checkPartition(t, where, st.Queries, st.CacheHits, st.WindowHits, st.SkeletonHits, st.Deduped, st.EngineSearches)
+}
+
+// checkStatszBody asserts every pooled method doc's invariants in one
+// /statsz body: the partition, occupancy within capacity for the
+// exact, window and skeleton stores, and — because the top-K table is
+// read before the pool counters — every pair tally bounded by its
+// pair's queries and the pairs' queries bounded by the pool's.
+// Reports whether all held.
+func checkStatszBody(t testing.TB, st *StatsResponse) bool {
+	t.Helper()
+	for id, venue := range st.Venues {
+		for m, doc := range venue.Methods {
+			if m == methodWaiting || m == methodProfile {
+				continue // no pool
+			}
+			where := fmt.Sprintf("statsz %s/%s", id, m)
+			if !checkStats(t, where, doc.Stats) {
+				return false
+			}
+			for _, occ := range []struct {
+				store         string
+				held, capable int64
+			}{
+				{"exact", doc.CacheEntries, doc.CacheCapacity},
+				{"window", doc.Windows, doc.WindowCapacity},
+				{"skeleton", doc.SkelFamilies, doc.SkelCapacity},
+			} {
+				if occ.held > occ.capable {
+					t.Errorf("%s: %s occupancy %d > capacity %d", where, occ.store, occ.held, occ.capable)
+					return false
+				}
+			}
+			var pairQueries int64
+			for _, p := range doc.TopPairs {
+				pairQueries += p.Queries
+				if p.ExactHits+p.WindowHits+p.SkeletonHits+p.Deduped > p.Queries {
+					t.Errorf("%s: pair %s->%s tallies exceed its queries: %+v", where, p.Src, p.Tgt, p)
+					return false
+				}
+			}
+			if pairQueries > doc.Queries {
+				t.Errorf("%s: top-K pair queries sum %d > pool queries %d", where, pairQueries, doc.Queries)
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestScrapeConsistencyHammer hammers the server with concurrent
 // route traffic while scraping /statsz, /metricsz and /tracez, and
-// asserts the partition invariant in every scraped body — i.e. a
-// scrape landing mid-request never shows torn counters that violate
-// it, and one body is one consistent snapshot.
+// asserts the partition invariant in every scraped body, and the
+// occupancy and top-K bounds in every /statsz body — i.e. a scrape
+// landing mid-request never shows torn counters that violate them.
 func TestScrapeConsistencyHammer(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	const writers, perWriter = 6, 25
@@ -250,11 +307,8 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 				}
 				var st StatsResponse
 				getJSON(t, ts.URL+"/statsz", &st)
-				for id, doc := range st.Venues {
-					for m, ms := range doc.Methods {
-						checkPartition(t, fmt.Sprintf("statsz %s/%s", id, m),
-							ms.Queries, ms.CacheHits, ms.WindowHits, ms.SkeletonHits, ms.Deduped, ms.EngineSearches)
-					}
+				if !checkStatszBody(t, &st) {
+					return
 				}
 				resp, raw := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)
 				if resp.StatusCode != http.StatusOK {
@@ -275,42 +329,6 @@ func TestScrapeConsistencyHammer(t *testing.T) {
 				if tz.Count > 64 {
 					t.Errorf("tracez retained %d traces", tz.Count)
 					return
-				}
-				// The cache-introspection view must hold its own
-				// invariants in every body: occupancy within capacity,
-				// and — because the top-K table is snapshotted before
-				// the pool counters — every pair tally bounded by the
-				// body's query counter.
-				var cz CachezResponse
-				getJSON(t, ts.URL+"/cachez", &cz)
-				for id, methods := range cz.Venues {
-					for m, doc := range methods {
-						where := fmt.Sprintf("cachez %s/%s", id, m)
-						if doc.Exact.Entries > doc.Exact.Capacity {
-							t.Errorf("%s: exact occupancy %d > capacity %d", where, doc.Exact.Entries, doc.Exact.Capacity)
-							return
-						}
-						if doc.Window.Windows > doc.Window.Capacity {
-							t.Errorf("%s: window occupancy %d > capacity %d", where, doc.Window.Windows, doc.Window.Capacity)
-							return
-						}
-						if doc.Skeleton.Families > doc.Skeleton.Capacity {
-							t.Errorf("%s: skeleton occupancy %d > capacity %d", where, doc.Skeleton.Families, doc.Skeleton.Capacity)
-							return
-						}
-						var pairQueries int64
-						for _, p := range doc.TopPairs {
-							pairQueries += p.Queries
-							if p.ExactHits+p.WindowHits+p.SkeletonHits+p.Deduped > p.Queries {
-								t.Errorf("%s: pair %s->%s tallies exceed its queries: %+v", where, p.Src, p.Tgt, p)
-								return
-							}
-						}
-						if pairQueries > doc.Queries {
-							t.Errorf("%s: top-K pair queries sum %d > pool queries %d", where, pairQueries, doc.Queries)
-							return
-						}
-					}
 				}
 			}
 		}()
@@ -440,8 +458,7 @@ func TestStatszAfterTraffic(t *testing.T) {
 		t.Fatalf("statsz status = %d", resp.StatusCode)
 	}
 	ms := st.Venues["hospital"].Methods["asyn"]
-	checkPartition(t, "statsz hospital/asyn",
-		ms.Queries, ms.CacheHits, ms.WindowHits, ms.SkeletonHits, ms.Deduped, ms.EngineSearches)
+	checkStats(t, "statsz hospital/asyn", ms.Stats)
 	if ms.Queries != 3 || ms.CacheHits != 1 || ms.EngineSearches != 2 {
 		t.Fatalf("hospital/asyn = %+v, want 3 queries / 1 cache hit / 2 searches", ms)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"indoorpath/internal/core"
 	"indoorpath/internal/itgraph"
@@ -81,23 +82,6 @@ func (v *Venue) UpdateSchedules(updates map[model.DoorID]temporal.Schedule) (int
 	return v.epoch.Add(1), nil
 }
 
-// Stats snapshots the venue's per-method pool counters and engine-
-// effort histograms. Effort is read before the counters so the
-// counter read order inside service.Stats (queries last) stays the
-// final read of the method's scrape.
-func (v *Venue) Stats() VenueStatsDoc {
-	doc := VenueStatsDoc{
-		Epoch:        v.Epoch(),
-		Methods:      make(map[string]service.Stats, len(pooledMethods)),
-		EngineEffort: make(map[string]service.EffortSnapshot, len(pooledMethods)),
-	}
-	for _, m := range pooledMethods {
-		doc.EngineEffort[methodName(m)] = v.pools[m].Effort()
-		doc.Methods[methodName(m)] = v.pools[m].Stats()
-	}
-	return doc
-}
-
 // Info summarises the venue for the listing endpoint.
 func (v *Venue) Info() VenueInfo {
 	mv := v.Model()
@@ -165,7 +149,8 @@ func PresetVenue(name string) (*model.Venue, error) {
 var ErrDuplicateVenue = errors.New("venue id already registered")
 
 // Add registers a venue model under an ID, building its IT-Graph and
-// method pools. IDs are path segments: non-empty, no "/".
+// method pools. IDs are path segments: non-empty UTF-8, no "/" or
+// space.
 func (r *Registry) Add(id string, v *model.Venue) error {
 	g, err := itgraph.New(v)
 	if err != nil {
@@ -177,8 +162,8 @@ func (r *Registry) Add(id string, v *model.Venue) error {
 // AddGraph registers a venue by its already-built IT-Graph (source is
 // recorded for the listing endpoint).
 func (r *Registry) AddGraph(id string, g *itgraph.Graph, source string) error {
-	if id == "" || strings.ContainsAny(id, "/ ") {
-		return fmt.Errorf("server: bad venue id %q: must be a non-empty path segment", id)
+	if id == "" || strings.ContainsAny(id, "/ ") || !utf8.ValidString(id) {
+		return fmt.Errorf("server: bad venue id %q: must be a non-empty UTF-8 path segment", id)
 	}
 	ve := &Venue{id: id, source: source}
 	for _, m := range pooledMethods {

@@ -7,9 +7,8 @@
 //
 //	GET  /healthz                       liveness + venue count + build provenance
 //	GET  /buildz                        build provenance (VCS revision, go version, start time)
-//	GET  /statsz                        per-venue, per-method pool counters
+//	GET  /statsz                        per-venue, per-method counters, hot pairs, store coverage, engine effort
 //	GET  /tracez                        recent request traces (slowest-K + sampled)
-//	GET  /cachez                        cache occupancy, hot pairs, window coverage, engine effort
 //	GET  /metricsz                      the same counters in Prometheus text format
 //	GET  /v1/venues                     venue listing
 //	POST /v1/venues                     hot venue reload (preset / JSON dir)
@@ -187,7 +186,6 @@ func New(reg *Registry, opts Options) *Server {
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
-	s.mux.HandleFunc("GET /cachez", s.handleCachez)
 	s.mux.HandleFunc("GET /v1/venues", s.handleVenues)
 	s.mux.HandleFunc("POST /v1/venues", s.handleVenuesLoad)
 	s.mux.HandleFunc("POST /v1/venues/{id}/route", s.venueHandler(s.handleRoute))
@@ -237,15 +235,16 @@ func (s *Server) handleBuildz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleStatsz serves the cumulative serving counters. Supports the
-// shared strict ?venue=/?method= filters (parseScopeFilter): filtered
-// bodies come from the same one-read-per-venue snapshot, just narrowed.
+// handleStatsz serves the cumulative serving counters and the cache
+// and workload introspection, one MethodStatsDoc per (venue, method).
+// The strict ?venue=/?method= filters (parseScopeFilter) narrow the
+// gather itself.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	f, ok := s.parseScopeFilter(w, r)
 	if !ok {
 		return
 	}
-	sn := s.snapshotStats()
+	sn := s.snapshotStats(f, true)
 	resp := StatsResponse{
 		Venues: make(map[string]VenueStatsDoc, len(sn.venues)),
 		Server: sn.server,
@@ -258,35 +257,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	for i, ve := range sn.venues {
-		if !f.matchVenue(ve.ID()) {
-			continue
-		}
-		resp.Venues[ve.ID()] = filterVenueStats(sn.docs[i], f)
+		resp.Venues[ve.ID()] = sn.docs[i]
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// filterVenueStats narrows one venue's stats doc to the filter's
-// method (a no-op without a method filter). The snapshot maps are
-// shared, so narrowed docs are rebuilt rather than mutated.
-func filterVenueStats(doc VenueStatsDoc, f scopeFilter) VenueStatsDoc {
-	if f.method == "" {
-		return doc
-	}
-	out := VenueStatsDoc{Epoch: doc.Epoch, Methods: make(map[string]service.Stats, 1)}
-	if st, ok := doc.Methods[f.method]; ok {
-		out.Methods[f.method] = st
-	}
-	if st, ok := doc.Coalesce[f.method]; ok {
-		out.Coalesce = map[string]coalesce.Stats{f.method: st}
-	}
-	if h, ok := doc.Requests[f.method]; ok {
-		out.Requests = map[string]obs.HistogramSnapshot{f.method: h}
-	}
-	if e, ok := doc.EngineEffort[f.method]; ok {
-		out.EngineEffort = map[string]service.EffortSnapshot{f.method: e}
-	}
-	return out
 }
 
 func (s *Server) handleVenues(w http.ResponseWriter, _ *http.Request) {
@@ -536,7 +509,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (core.Metho
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, ve *Venue) {
 	tr := s.obsv.NewTrace()
-	info := obs.RequestInfo{Venue: ve.ID(), Method: "profile"}
+	info := obs.RequestInfo{Venue: ve.ID(), Method: methodProfile}
 
 	sp := tr.Start(obs.StageDecode)
 	src, tgt, m, errDoc := parseProfileParams(r)
@@ -781,24 +754,6 @@ func (s *Server) coalescer(ve *Venue, m core.Method) *coalesce.Coalescer {
 		MaxGroup: s.opts.CoalesceMaxGroup,
 	}))
 	return c.(*coalesce.Coalescer)
-}
-
-// coalesceStats collects a venue's per-method coalescer counters (nil
-// when coalescing is off or the venue has not routed yet).
-func (s *Server) coalesceStats(ve *Venue) map[string]coalesce.Stats {
-	if !s.opts.Coalesce {
-		return nil
-	}
-	var out map[string]coalesce.Stats
-	for _, m := range pooledMethods {
-		if c, ok := s.coal.Load(ve.Pool(m)); ok {
-			if out == nil {
-				out = make(map[string]coalesce.Stats, len(pooledMethods))
-			}
-			out[methodName(m)] = c.(*coalesce.Coalescer).Stats()
-		}
-	}
-	return out
 }
 
 // decodeBody reads and strictly decodes a JSON request body.

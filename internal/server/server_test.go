@@ -16,9 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"indoorpath/internal/coalesce"
 	"indoorpath/internal/core"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
+	"indoorpath/internal/obs"
 	"indoorpath/internal/service"
 	"indoorpath/internal/synth"
 	"indoorpath/internal/temporal"
@@ -702,6 +704,9 @@ func TestRegistryValidation(t *testing.T) {
 	if err := reg.Add("", v); err == nil {
 		t.Fatal("empty id should be rejected")
 	}
+	if err := reg.Add("ward\xff", v); err == nil {
+		t.Fatal("id that is not valid UTF-8 should be rejected")
+	}
 	if err := reg.Add("h", v); err != nil {
 		t.Fatal(err)
 	}
@@ -923,6 +928,82 @@ func TestMetricsz(t *testing.T) {
 	}
 }
 
+// TestMetricszLabelEscaping registers venues whose IDs need the text
+// format's escapes or carry bytes Go's %q would escape but the format
+// does not (a tab, a soft hyphen): every label value must carry exactly
+// the three exposition escapes, so a scraper reads back the ID.
+func TestMetricszLabelEscaping(t *testing.T) {
+	reg := NewRegistry(service.Options{})
+	ids := []string{"ward\t2\u00ad", "a\"b\\c\nd"}
+	for _, id := range ids {
+		if err := reg.Add(id, synth.Hospital()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(New(reg, Options{}))
+	t.Cleanup(ts.Close)
+
+	_, raw := doJSON(t, http.MethodGet, ts.URL+"/metricsz", nil)
+	body := string(raw)
+	for _, want := range []string{
+		"indoorpath_venue_epoch{venue=\"ward\t2\u00ad\"} 0\n",
+		`indoorpath_venue_epoch{venue="a\"b\\c\nd"} 0` + "\n",
+		"indoorpath_pool_queries_total{venue=\"ward\t2\u00ad\",method=\"asyn\"} 0\n",
+		`indoorpath_engine_effort_pops_bucket{venue="a\"b\\c\nd",method="static",le="+Inf"} 0` + "\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metricsz missing %q", want)
+		}
+	}
+	if got := labels("venue", ids[1], "method", "asyn"); got != `venue="a\"b\\c\nd",method="asyn"` {
+		t.Errorf("labels = %s", got)
+	}
+}
+
+// TestCoalesceHoldLines pins the coalescer's Prometheus lines for a
+// known hold histogram, byte for byte: a hold on a bound counts in that
+// bound's bucket and a negative one in the first, buckets are
+// cumulative, and the sum is in seconds.
+func TestCoalesceHoldLines(t *testing.T) {
+	h := obs.NewHistogram(coalesce.HoldBucketBounds[:])
+	for _, d := range []time.Duration{
+		500 * time.Microsecond, -time.Millisecond, 1500 * time.Microsecond, 2 * time.Millisecond,
+		2345678 * time.Nanosecond, 7 * time.Millisecond, 30 * time.Millisecond, time.Second,
+	} {
+		h.Observe(d)
+	}
+	st := coalesce.Stats{Queries: 7, Flushes: 3, Groups: 2, Answers: 6, Hold: h.Snapshot()}
+	var sb strings.Builder
+	writeCoalesceMetrics(&sb, []pooledRow{{labels("venue", "hospital", "method", "asyn"), MethodStatsDoc{Coalesce: st}}})
+	const want = `# HELP indoorpath_coalesce_queries_total Solo route requests accepted by the standing coalescer.
+# TYPE indoorpath_coalesce_queries_total counter
+indoorpath_coalesce_queries_total{venue="hospital",method="asyn"} 7
+# HELP indoorpath_coalesce_flushes_total Coalescer windows flushed (singleton windows included).
+# TYPE indoorpath_coalesce_flushes_total counter
+indoorpath_coalesce_flushes_total{venue="hospital",method="asyn"} 3
+# HELP indoorpath_coalesce_groups_total Coalesced flushes: windows that accumulated two or more solo requests.
+# TYPE indoorpath_coalesce_groups_total counter
+indoorpath_coalesce_groups_total{venue="hospital",method="asyn"} 2
+# HELP indoorpath_coalesce_answers_total Solo requests answered out of a coalesced (multi-request) flush.
+# TYPE indoorpath_coalesce_answers_total counter
+indoorpath_coalesce_answers_total{venue="hospital",method="asyn"} 6
+# HELP indoorpath_coalesce_hold_seconds Time a solo request was held between arrival and its flush starting.
+# TYPE indoorpath_coalesce_hold_seconds histogram
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="0.001"} 2
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="0.002"} 4
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="0.005"} 5
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="0.01"} 6
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="0.025"} 6
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="0.1"} 7
+indoorpath_coalesce_hold_seconds_bucket{venue="hospital",method="asyn",le="+Inf"} 8
+indoorpath_coalesce_hold_seconds_sum{venue="hospital",method="asyn"} 1.043345678
+indoorpath_coalesce_hold_seconds_count{venue="hospital",method="asyn"} 8
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("coalesce lines:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // newCoalesceTestServer boots the hospital preset behind a coalescing
 // server whose flushes are deterministic: MaxGroup 2 and an
 // effectively-infinite hold, so a flush happens exactly when the
@@ -1028,8 +1109,8 @@ func TestRouteCoalesced(t *testing.T) {
 	if st.Queries != 2 || st.Deduped != 1 {
 		t.Fatalf("pool stats = %+v, want 2 queries with 1 deduped", st)
 	}
-	cs, ok := sr.Venues["hospital"].Coalesce["asyn"]
-	if !ok {
+	cs := sr.Venues["hospital"].Methods["asyn"].Coalesce
+	if cs.Hold.Bounds == nil {
 		t.Fatalf("statsz missing coalesce stats: %+v", sr.Venues["hospital"])
 	}
 	if cs.Queries != 2 || cs.Flushes != 1 || cs.Groups != 1 || cs.Answers != 2 {

@@ -72,22 +72,17 @@ func TestSkeletonServerEndToEnd(t *testing.T) {
 	if st.SkeletonHits != 1 {
 		t.Fatalf("statsz skeleton_hits = %d, want 1 (%+v)", st.SkeletonHits, st)
 	}
-	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.Deduped+st.CacheMisses() != st.Queries {
-		t.Fatalf("statsz partition broken: %+v", st)
-	}
+	checkStats(t, "statsz hospital/asyn", st.Stats)
 
-	// /cachez: skeleton occupancy, per-pair coverage and the top-pair
-	// tally all reflect the stored family.
-	var cz CachezResponse
-	getJSON(t, ts.URL+"/cachez", &cz)
-	doc := cz.Venues["hospital"]["asyn"]
-	if doc.Skeleton.Families < 1 || doc.Skeleton.Capacity <= 0 || doc.Skeleton.Families > doc.Skeleton.Capacity {
-		t.Fatalf("skeleton occupancy = %+v", doc.Skeleton)
+	// The same method doc: skeleton occupancy, per-pair coverage and
+	// the top-pair tally all reflect the stored family.
+	if st.SkelFamilies < 1 || st.SkelCapacity <= 0 || st.SkelFamilies > st.SkelCapacity {
+		t.Fatalf("skeleton occupancy = %d of %d", st.SkelFamilies, st.SkelCapacity)
 	}
-	if doc.Skeleton.PairsTotal != 1 || len(doc.Skeleton.Pairs) != 1 {
-		t.Fatalf("skeleton coverage = %+v, want the one driven pair", doc.Skeleton)
+	if st.SkeletonPairsTotal != 1 || len(st.SkeletonPairs) != 1 {
+		t.Fatalf("skeleton coverage = %+v of %d, want the one driven pair", st.SkeletonPairs, st.SkeletonPairsTotal)
 	}
-	pair := doc.Skeleton.Pairs[0]
+	pair := st.SkeletonPairs[0]
 	if pair.Src != "emergency" || pair.Tgt != "ward-1" {
 		t.Fatalf("skeleton pair = %s -> %s, want emergency -> ward-1", pair.Src, pair.Tgt)
 	}
@@ -97,8 +92,8 @@ func TestSkeletonServerEndToEnd(t *testing.T) {
 	if pair.DayCoverage <= 0 || pair.DayCoverage > 1 {
 		t.Fatalf("skeleton pair day_coverage = %v, want (0, 1]", pair.DayCoverage)
 	}
-	if len(doc.TopPairs) != 1 || doc.TopPairs[0].SkeletonHits != 1 {
-		t.Fatalf("top pairs = %+v, want one row with skeleton_hits 1", doc.TopPairs)
+	if len(st.TopPairs) != 1 || st.TopPairs[0].SkeletonHits != 1 {
+		t.Fatalf("top pairs = %+v, want one row with skeleton_hits 1", st.TopPairs)
 	}
 
 	// /metricsz: the same counters in Prometheus clothes.
@@ -166,8 +161,9 @@ func TestSkeletonBatchWire(t *testing.T) {
 
 // TestRaceStatszSkeleton hammers a skeleton-enabled server with
 // jittered same-pair traffic (distinct points every request, so only
-// skeleton composition can serve repeats) while scraping /statsz and
-// /cachez: the extended partition invariant must hold in every body.
+// skeleton composition can serve repeats) while scraping /statsz: the
+// extended partition invariant and skeleton occupancy <= capacity must
+// hold in every body.
 func TestRaceStatszSkeleton(t *testing.T) {
 	ts := newSkeletonTestServer(t)
 	client := ts.Client()
@@ -191,17 +187,11 @@ func TestRaceStatszSkeleton(t *testing.T) {
 				continue
 			}
 			st := sr.Venues["hospital"].Methods["asyn"]
-			if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
-				errc <- fmt.Errorf("statsz does not partition: %+v", st)
+			if !checkStats(t, "statsz hospital/asyn", st.Stats) {
 				return
 			}
-			var cz CachezResponse
-			if _, err := post(client, http.MethodGet, ts.URL+"/cachez", nil, &cz); err != nil {
-				continue
-			}
-			doc := cz.Venues["hospital"]["asyn"]
-			if doc.Skeleton.Families > doc.Skeleton.Capacity {
-				errc <- fmt.Errorf("skeleton occupancy %d > capacity %d", doc.Skeleton.Families, doc.Skeleton.Capacity)
+			if st.SkelFamilies > st.SkelCapacity {
+				errc <- fmt.Errorf("skeleton occupancy %d > capacity %d", st.SkelFamilies, st.SkelCapacity)
 				return
 			}
 		}
@@ -242,7 +232,5 @@ func TestRaceStatszSkeleton(t *testing.T) {
 	if st.SkeletonHits == 0 {
 		t.Fatalf("hammer produced no skeleton hits: %+v", st)
 	}
-	if st.CacheHits+st.WindowHits+st.SkeletonHits+st.CacheMisses()+st.Deduped != st.Queries {
-		t.Fatalf("final statsz does not partition: %+v", st)
-	}
+	checkStats(t, "final statsz hospital/asyn", st.Stats)
 }

@@ -116,8 +116,8 @@ type RouteResponse struct {
 	// the outcome (for cache hits: the original search); absent for
 	// the waiting method, which has no comparable counters.
 	Stats *core.SearchStats `json:"stats,omitempty"`
-	// CacheHit marks outcomes served from a pool result cache (exact
-	// or validity-window).
+	// CacheHit marks outcomes served from a pool result cache (exact,
+	// validity-window or skeleton).
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Hit is the outcome's cache provenance: "miss" (engine search),
 	// "exact" (exact-identity cache), "window" (validity-window cache,
@@ -297,25 +297,49 @@ type BuildzResponse struct {
 	UptimeSec float64      `json:"uptime_sec"`
 }
 
-// VenueStatsDoc holds one venue's serving counters, one service.Stats
-// per method pool; Coalesce adds the standing coalescer's counters per
-// method when coalescing is enabled (and the method has seen a route).
+// VenueStatsDoc is one venue's section of a /statsz body: its epoch
+// and one MethodStatsDoc per method key.
 type VenueStatsDoc struct {
-	Epoch    int64                     `json:"epoch"`
-	Methods  map[string]service.Stats  `json:"methods"`
-	Coalesce map[string]coalesce.Stats `json:"coalesce,omitempty"`
-	// Requests are the server-side request-latency histograms per
-	// method (merged over outcomes), present once the method has
-	// served a request. internal/replay subtracts two scrapes of
-	// these to derive per-phase latency quantiles independently of
-	// its own client-side clock.
-	Requests map[string]obs.HistogramSnapshot `json:"request_seconds,omitempty"`
-	// EngineEffort are the per-search engine-effort histograms per
-	// method (pops, settled, relaxations, TV checks; one observation
-	// per actual engine run). internal/replay subtracts two scrapes to
-	// derive per-phase effort distributions — the before/after baseline
-	// for engine-core optimisation work.
-	EngineEffort map[string]service.EffortSnapshot `json:"engine_effort,omitempty"`
+	Epoch   int64                     `json:"epoch"`
+	Methods map[string]MethodStatsDoc `json:"methods"`
+}
+
+// MethodStatsDoc is one method's section of a /statsz body, gathered
+// in one pass per scrape. A pooled method (syn, asyn, static) carries
+// its pool's counters, flattened from the embedded service.Stats, and
+// its cache and workload introspection. The waiting method and
+// profile requests have no pool: their docs carry only Requests.
+//
+// The pool is read top pairs → effort → window and skeleton coverage
+// → Stats, and Stats reads its query counter last, so in every body
+// each TopPairs tally is <= Queries, occupancy <= capacity, and the
+// partition invariant holds (misses >= 0, engine_searches <= misses).
+type MethodStatsDoc struct {
+	// Stats are the pool counters; nil where the method has no pool.
+	*service.Stats
+	// Requests is the server-side request-latency histogram,
+	// merged over outcomes, present once the method has served a
+	// request. internal/replay subtracts two scrapes of it to derive
+	// per-phase latency quantiles independently of its own clock.
+	Requests obs.HistogramSnapshot `json:"request_seconds,omitzero"`
+	// EngineEffort are the per-search engine-effort histograms (pops,
+	// settled, relaxations, TV checks; one observation per engine run).
+	EngineEffort service.EffortSnapshot `json:"engine_effort,omitzero"`
+	// Coalesce are the standing coalescer's counters, present when
+	// coalescing is on and the method has seen a route.
+	Coalesce coalesce.Stats `json:"coalesce,omitzero"`
+	// TopPairs is the space-saving heavy-hitter table, heaviest first.
+	// Tallies are exact up to each row's ErrBound (obs.TopK).
+	TopPairs []HotPairDoc `json:"top_pairs,omitempty"`
+	// PairCapacity is the top-K table's fixed slot budget.
+	PairCapacity int `json:"pair_capacity,omitempty"`
+	// WindowPairs and SkeletonPairs are the window and skeleton stores'
+	// per-pair coverage rows, capped at maxPairRows each; the totals
+	// count every pair before the cap, so truncation is never silent.
+	WindowPairs        []WindowPairDoc   `json:"window_pairs,omitempty"`
+	WindowPairsTotal   int               `json:"window_pairs_total,omitempty"`
+	SkeletonPairs      []SkeletonPairDoc `json:"skeleton_pairs,omitempty"`
+	SkeletonPairsTotal int               `json:"skeleton_pairs_total,omitempty"`
 }
 
 // ServerStatsDoc holds request-lifecycle counters of the server
@@ -363,75 +387,6 @@ type StatsResponse struct {
 type TracezResponse struct {
 	Count  int             `json:"count"`
 	Traces []*obs.TraceDoc `json:"traces"`
-}
-
-// CachezResponse is the body of GET /cachez: per venue and method, the
-// cache-introspection view — exact-cache and window-store occupancy vs
-// capacity with eviction counters, per-OD-pair window counts and day
-// coverage, the space-saving top-K pair table, and the per-search
-// engine-effort histograms. Each venue/method doc is gathered in one
-// pass ordered so its invariants hold under racing traffic (top-K
-// before the query counter; see CacheMethodDoc.Queries).
-type CachezResponse struct {
-	Venues map[string]map[string]CacheMethodDoc `json:"venues"`
-}
-
-// CacheMethodDoc is one (venue, method) pool's cache introspection.
-type CacheMethodDoc struct {
-	Exact  CacheOccupancyDoc `json:"exact"`
-	Window WindowStoreDoc    `json:"window"`
-	// Skeleton is the door-to-door skeleton-family store's view; all
-	// zero (and Pairs empty) when -skeleton-cache is off.
-	Skeleton SkeletonStoreDoc `json:"skeleton"`
-	// TopPairs is the space-saving heavy-hitter table, heaviest first.
-	// Tallies are exact up to each row's ErrBound (obs.TopK).
-	TopPairs []HotPairDoc `json:"top_pairs"`
-	// PairCapacity is the top-K table's fixed slot budget.
-	PairCapacity int `json:"pair_capacity"`
-	// Queries is the pool's cumulative query counter, read after the
-	// top-K snapshot: every TopPairs tally is <= Queries in any body,
-	// even mid-traffic.
-	Queries int64 `json:"queries"`
-	// EngineEffort are the pool's per-search effort histograms.
-	EngineEffort service.EffortSnapshot `json:"engine_effort"`
-}
-
-// CacheOccupancyDoc is the exact cache's occupancy and pressure.
-// Entries <= Capacity in every body; Evictions counts entries shed by
-// capacity pressure (not invalidation) and is monotone across
-// schedule-update swaps.
-type CacheOccupancyDoc struct {
-	Entries   int64 `json:"entries"`
-	Capacity  int64 `json:"capacity"`
-	Evictions int64 `json:"evictions"`
-}
-
-// WindowStoreDoc is the validity-window store's occupancy, pressure
-// and per-pair coverage map.
-type WindowStoreDoc struct {
-	Windows   int64 `json:"windows"`
-	Capacity  int64 `json:"capacity"`
-	Evictions int64 `json:"evictions"`
-	// Pairs lists per-OD-pair window counts and day coverage, most
-	// windows first, capped at maxWindowPairs rows; PairsTotal counts
-	// all pairs before the cap so truncation is never silent.
-	Pairs      []WindowPairDoc `json:"pairs,omitempty"`
-	PairsTotal int             `json:"pairs_total"`
-}
-
-// SkeletonStoreDoc is the skeleton-family store's occupancy, pressure
-// and per-pair coverage map. The store shares the window store's
-// capacity value but its family budget is accounted independently, so
-// Families <= Capacity in every body.
-type SkeletonStoreDoc struct {
-	Families  int64 `json:"families"`
-	Capacity  int64 `json:"capacity"`
-	Evictions int64 `json:"evictions"`
-	// Pairs lists per-OD-pair family occupancy and day coverage, most
-	// chains first, capped at maxWindowPairs rows; PairsTotal counts
-	// all pairs before the cap so truncation is never silent.
-	Pairs      []SkeletonPairDoc `json:"pairs,omitempty"`
-	PairsTotal int               `json:"pairs_total"`
 }
 
 // SkeletonPairDoc is one OD pair's stored skeleton-family summary.
@@ -503,12 +458,15 @@ func badRequest(format string, args ...any) *ErrorDoc {
 	return &ErrorDoc{Code: "bad_request", Message: fmt.Sprintf(format, args...)}
 }
 
-// Method names on the wire.
+// Method names on the wire. methodProfile is not a route method: it
+// labels profile requests, which walk every slot on a fresh engine of
+// any pooled method, in the request-latency histograms.
 const (
 	methodSyn     = "syn"
 	methodAsyn    = "asyn"
 	methodStatic  = "static"
 	methodWaiting = "waiting"
+	methodProfile = "profile"
 )
 
 // parseMethod resolves a wire method name; empty means asyn. waiting

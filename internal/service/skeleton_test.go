@@ -100,8 +100,8 @@ func TestSkeletonPoolStatsPartition(t *testing.T) {
 	if st.SkeletonHits == 0 {
 		t.Fatalf("no skeleton hits: %v", st)
 	}
-	if got := st.CacheHits + st.WindowHits + st.SkeletonHits + st.Deduped + st.CacheMisses(); got != st.Queries {
-		t.Fatalf("partition broken: hits+misses=%d queries=%d (%v)", got, st.Queries, st)
+	if st.CacheMisses() < 0 {
+		t.Fatalf("partition broken: hits exceed queries (%v)", st)
 	}
 	if st.EngineSearches > st.CacheMisses() {
 		t.Fatalf("EngineSearches %d > CacheMisses %d", st.EngineSearches, st.CacheMisses())

@@ -300,7 +300,10 @@ func TestWindowPoolSweepByteIdentical(t *testing.T) {
 			if fx.name == "sweep" && st.WindowHits == 0 {
 				t.Fatalf("%s/%v: sweep produced no window hits (%v)", fx.name, method, st)
 			}
-			if st.CacheHits+st.WindowHits+st.CacheMisses()+st.Deduped != st.Queries {
+			// The hit counters leave a non-negative miss count that
+			// bounds the engine searches; without a skeleton store
+			// nothing is composed.
+			if st.CacheMisses() < 0 || st.EngineSearches > st.CacheMisses() || st.SkeletonHits != 0 {
 				t.Fatalf("%s/%v: stats do not partition: %v", fx.name, method, st)
 			}
 		}
