@@ -413,7 +413,7 @@ func BenchmarkPoolRouteBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.InvalidateCache() // each iteration recomputes the batch
+				pool.SetGraph(tb.graph) // a swap drops every store: each iteration recomputes the batch
 				rs := pool.RouteBatch(batch)
 				for _, r := range rs {
 					if r.Err != nil && r.Err != indoorpath.ErrNoRoute {
@@ -462,7 +462,7 @@ func BenchmarkPoolRouteSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.InvalidateCache() // each iteration recomputes the sweep
+				pool.SetGraph(tb.graph) // a swap drops every store: each iteration recomputes the sweep
 				for _, r := range pool.RouteBatch(batch) {
 					if r.Err != nil && r.Err != indoorpath.ErrNoRoute {
 						b.Fatal(r.Err)
@@ -525,7 +525,7 @@ func BenchmarkPoolRouteBatchShared(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.InvalidateCache() // each iteration recomputes the batch
+				pool.SetGraph(tb.graph) // a swap drops every store: each iteration recomputes the batch
 				rs, _ := pool.RouteBatchSummary(batch)
 				for _, r := range rs {
 					if r.Err != nil && r.Err != indoorpath.ErrNoRoute {
@@ -619,7 +619,7 @@ func BenchmarkPoolRouteNeighborhood(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.InvalidateCache() // each iteration recomputes the crowd
+				pool.SetGraph(tb.graph) // a swap drops every store: each iteration recomputes the crowd
 				for _, r := range pool.RouteBatch(batch) {
 					if r.Err != nil && r.Err != indoorpath.ErrNoRoute {
 						b.Fatal(r.Err)

@@ -167,12 +167,12 @@
 // answer recomputes every arrival for the query's own departure from
 // the stored cumulative distances (bit-identical to engine
 // arithmetic — the original instants are never reused); a schedule
-// swap drops the whole store with the backend; InvalidateSlot drops
-// windows overlapping the slot's time range. Results carry provenance
-// (BatchResult.Hit: "exact" | "window" | "miss"), PoolStats counts
-// WindowHits, and BenchmarkPoolRouteSweep measures the effect (the
-// exact cache runs one search per sweep departure; the window cache
-// runs roughly one per checkpoint slot).
+// swap drops the whole store with the backend, and apart from that
+// only capacity eviction removes a window. Results carry provenance
+// (BatchResult.Hit: "exact" | "window" | "skeleton" | "miss"),
+// PoolStats counts WindowHits, and BenchmarkPoolRouteSweep measures
+// the effect (the exact cache runs one search per sweep departure; the
+// window cache runs roughly one per checkpoint slot).
 //
 // # Point-free answers
 //
@@ -219,9 +219,9 @@
 // PoolStats counts SkeletonHits (the /statsz partition invariant
 // becomes exact + window + skeleton + deduped + misses == queries),
 // /statsz reports skeleton-store occupancy and per-pair day coverage,
-// and a schedule swap drops the store with everything else — epochs
-// make a raced certification unstorable, exactly like the window
-// store. Two benchmarks self-check the layer in CI:
+// and a schedule swap drops the store with everything else: a family
+// built on the old graph can only land in the retired store, exactly
+// like a window. Two benchmarks self-check the layer in CI:
 // BenchmarkPoolRouteNeighborhood serves a 256-query jittered crowd
 // between one hot partition pair with a few engine searches instead of
 // 256, and BenchmarkPoolRouteScatter serves 256 queries over distinct
@@ -513,14 +513,15 @@
 // Decision provenance answers WHY, not just how often: every cache
 // miss carries a compact reason code — uncacheable, no_exact_entry,
 // window_family_absent, outside_windows (a window series exists but
-// the departure falls outside every cached interval), epoch_raced
-// (the answer was computed but a concurrent schedule update made it
-// unstorable) — and every plan member that ran a dedicated engine
-// search records why it could not share: private_partition (an
-// endpoint partition a shared run cannot expand through, private or a
-// stairwell), singleton_group, or ablation (sharing disabled). Miss responses
-// carry the code inline as "explain"; cumulative per-reason counters
-// ride /statsz ("reasons") and /metricsz
+// the departure falls outside every cached interval),
+// skeleton_uncertified (a skeleton family covers the departure but
+// could not certify a composition for these points) — and every plan
+// member that ran a dedicated engine search records why it could not
+// share: private_partition (an endpoint partition a shared run cannot
+// expand through, private or a stairwell), singleton_group, or
+// ablation (sharing disabled). Miss responses carry the code inline as
+// "explain"; cumulative per-reason counters ride /statsz ("reasons",
+// whose miss_epoch_raced key is always 0) and /metricsz
 // (indoorpath_reason_miss_total / indoorpath_reason_solo_total), and
 // probe/plan spans attach the reason to traces. itspqreplay records
 // per-phase reason deltas in BENCH_replay.json, and -v prints the

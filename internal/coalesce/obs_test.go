@@ -24,7 +24,7 @@ func TestCoalescerTraced(t *testing.T) {
 	shop := b.AddPartition("shop", model.PublicPartition, geom.NewRect(10, 0, 20, 10, 0))
 	d := b.AddDoor("d", model.PublicDoor, geom.Pt(10, 5, 0), nil)
 	b.ConnectBi(d, hall, shop)
-	pool := service.New(itgraph.MustNew(b.MustBuild()), service.Options{SharedBatch: true, CacheCapacity: -1, WindowCapacity: -1})
+	pool := service.New(itgraph.MustNew(b.MustBuild()), service.Options{SharedBatch: true, CacheCapacity: -1})
 	c := New(pool, Options{Hold: time.Hour, MaxGroup: 2})
 	o := obs.NewObserver(obs.ObserverOptions{})
 

@@ -32,10 +32,6 @@ const (
 	// composed walk crosses the slot boundary, or the best chain is
 	// ambiguous), so the query fell through to an engine.
 	ReasonSkeletonUncertified
-	// ReasonEpochRaced: the lookup missed and the computed outcome was
-	// then discarded because a schedule invalidation ran while the
-	// search was in flight — the next identical query will miss again.
-	ReasonEpochRaced
 
 	// Solo reasons — why a member ran outside a shared engine run.
 
@@ -62,15 +58,14 @@ var reasonNames = [NumReasons]string{
 	ReasonWindowFamilyAbsent:  "window_family_absent",
 	ReasonOutsideWindows:      "outside_windows",
 	ReasonSkeletonUncertified: "skeleton_uncertified",
-	ReasonEpochRaced:          "epoch_raced",
 	ReasonPrivatePartition:    "private_partition",
 	ReasonSingletonGroup:      "singleton_group",
 	ReasonAblation:            "ablation",
 }
 
 // String returns the stable wire name ("" for ReasonNone). The names
-// are part of the /statsz and "explain" vocabulary; never
-// renumber or rename.
+// are part of the /statsz and "explain" vocabulary; never rename them.
+// The numbers never reach the wire.
 func (r Reason) String() string {
 	if r < NumReasons {
 		return reasonNames[r]
@@ -81,5 +76,5 @@ func (r Reason) String() string {
 // IsMiss reports whether r explains a cache miss (as opposed to a
 // solo-run decision).
 func (r Reason) IsMiss() bool {
-	return r >= ReasonUncacheable && r <= ReasonEpochRaced
+	return r >= ReasonUncacheable && r <= ReasonSkeletonUncertified
 }

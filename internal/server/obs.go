@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"math"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 
 	"indoorpath/internal/coalesce"
@@ -154,8 +156,7 @@ const maxPairRows = 64
 // traffic can be torn between counters; the read order of
 // methodStats keeps every MethodStatsDoc invariant in every body
 // regardless. coverage adds the window and skeleton coverage rows,
-// which only /statsz renders: their walk visits every stored pair and
-// costs more than the rest of the scrape together.
+// which only /statsz renders: their walk visits every stored pair.
 func (s *Server) snapshotStats(f scopeFilter, coverage bool) statsSnapshot {
 	sn := statsSnapshot{
 		requests: s.obsv.RequestSnapshots(),
@@ -193,23 +194,7 @@ func (s *Server) snapshotStats(f scopeFilter, coverage bool) statsSnapshot {
 // come from one locked read each.
 func (s *Server) methodStats(pool *service.Pool, mv *model.Venue, coverage bool) MethodStatsDoc {
 	pairs := pool.HotPairs()
-	effort := pool.Effort()
-	var windows, skels []tcache.PairCoverage
-	if coverage {
-		windows, skels = pool.WindowCoverage(), pool.SkeletonCoverage()
-	}
-	st := pool.Stats()
-	doc := MethodStatsDoc{
-		Stats:              &st,
-		EngineEffort:       effort,
-		PairCapacity:       pool.HotPairCapacity(),
-		WindowPairsTotal:   len(windows),
-		SkeletonPairsTotal: len(skels),
-	}
-	if c, ok := s.coal.Load(pool); ok {
-		doc.Coalesce = c.(*coalesce.Coalescer).Stats()
-	}
-
+	doc := MethodStatsDoc{EngineEffort: pool.Effort(), PairCapacity: pool.HotPairCapacity()}
 	top := make(map[tcache.Key]int, len(pairs)) // top pair -> row
 	for _, pc := range pairs {
 		key := tcache.Key{Src: model.PartitionID(pc.Key.Src), Tgt: model.PartitionID(pc.Key.Tgt)}
@@ -229,32 +214,98 @@ func (s *Server) methodStats(pool *service.Pool, mv *model.Venue, coverage bool)
 			WindowHitRate:  ratio(pc.WindowHits, pc.Queries),
 		})
 	}
-	// Coverage rows come most windows (chains) first, as tcache sorts
-	// them.
-	for i, pc := range windows {
-		if i < maxPairRows {
-			doc.WindowPairs = append(doc.WindowPairs, WindowPairDoc{
-				Src:         partName(mv, pc.Key.Src),
-				Tgt:         partName(mv, pc.Key.Tgt),
-				Families:    pc.Families,
-				Windows:     pc.Windows,
-				DayCoverage: dayCoverage(pc),
-			})
-		}
+	if coverage {
+		addCoverage(&doc, mv, top, pool.WindowCoverage, pool.SkeletonCoverage)
+	}
+	st := pool.Stats()
+	doc.Stats = &st
+	if c, ok := s.coal.Load(pool); ok {
+		doc.Coalesce = c.(*coalesce.Coalescer).Stats()
+	}
+	return doc
+}
+
+// addCoverage walks the window and the skeleton store once each,
+// through visitors shaped like tcache.Store.Coverage. It counts every
+// pair into the *_pairs_total figures, sets each top pair's day
+// coverage from its window tallies, and lists the maxPairRows largest
+// pairs of each store.
+func addCoverage(doc *MethodStatsDoc, mv *model.Venue, top map[tcache.Key]int, windows, skels func(func(tcache.PairCoverage))) {
+	var wr, sr pairRows
+	windows(func(pc tcache.PairCoverage) {
+		wr.add(pc)
 		if row, ok := top[pc.Key]; ok {
 			doc.TopPairs[row].DayCoverage = dayCoverage(pc)
 		}
+	})
+	skels(sr.add)
+	doc.WindowPairsTotal, doc.SkeletonPairsTotal = wr.total, sr.total
+	rows := wr.top()
+	doc.WindowPairs = make([]WindowPairDoc, len(rows))
+	for i, pc := range rows {
+		doc.WindowPairs[i] = WindowPairDoc{
+			Src:         partName(mv, pc.Key.Src),
+			Tgt:         partName(mv, pc.Key.Tgt),
+			Families:    pc.Families,
+			Windows:     pc.Windows,
+			DayCoverage: dayCoverage(pc),
+		}
 	}
-	for _, pc := range skels[:min(len(skels), maxPairRows)] {
-		doc.SkeletonPairs = append(doc.SkeletonPairs, SkeletonPairDoc{
+	rows = sr.top()
+	doc.SkeletonPairs = make([]SkeletonPairDoc, len(rows))
+	for i, pc := range rows {
+		doc.SkeletonPairs[i] = SkeletonPairDoc{
 			Src:         partName(mv, pc.Key.Src),
 			Tgt:         partName(mv, pc.Key.Tgt),
 			Families:    pc.Families,
 			Chains:      pc.Windows,
 			DayCoverage: pc.CoveredSec / float64(temporal.DaySeconds),
-		})
+		}
 	}
-	return doc
+}
+
+// pairRows keeps the maxPairRows first coverage rows of one store walk
+// in listing order — most windows (chains) first, ties by ascending
+// source, then target — and counts every pair. Its buffer holds twice
+// the rows: when it fills, a sort keeps the first half, and from then
+// on a pair that sorts after the last row kept is not buffered at all.
+type pairRows struct {
+	rows    []tcache.PairCoverage
+	total   int
+	trimmed bool // a cut ran: rows[maxPairRows-1] is the last row kept so far
+}
+
+func (t *pairRows) add(pc tcache.PairCoverage) {
+	t.total++
+	if t.trimmed && coverageOrder(pc, t.rows[maxPairRows-1]) > 0 {
+		return
+	}
+	if t.rows == nil {
+		t.rows = make([]tcache.PairCoverage, 0, 2*maxPairRows)
+	}
+	if len(t.rows) == cap(t.rows) {
+		t.cut()
+		t.trimmed = true
+	}
+	t.rows = append(t.rows, pc)
+}
+
+// top returns the kept rows in listing order.
+func (t *pairRows) top() []tcache.PairCoverage {
+	t.cut()
+	return t.rows
+}
+
+func (t *pairRows) cut() {
+	slices.SortFunc(t.rows, coverageOrder)
+	t.rows = t.rows[:min(len(t.rows), maxPairRows)]
+}
+
+func coverageOrder(a, b tcache.PairCoverage) int {
+	return cmp.Or(
+		cmp.Compare(b.Windows, a.Windows),
+		cmp.Compare(a.Key.Src, b.Key.Src),
+		cmp.Compare(a.Key.Tgt, b.Key.Tgt))
 }
 
 func ratio(num, den int64) float64 {

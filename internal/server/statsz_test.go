@@ -6,10 +6,18 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
+	"indoorpath/internal/core"
+	"indoorpath/internal/geom"
+	"indoorpath/internal/model"
 	"indoorpath/internal/service"
+	"indoorpath/internal/tcache"
+	"indoorpath/internal/temporal"
 )
 
 // newTinyCacheTestServer boots a hospital-only registry whose exact
@@ -279,5 +287,136 @@ func TestScopeFilterValidation(t *testing.T) {
 	// The cache view is a section of /statsz, not an endpoint.
 	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/cachez", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/cachez status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// coverageStore fills a store with n partition pairs over the mall's
+// first 64 partitions: pair i holds 1+i%3 windows of one endpoint
+// triple and, on two pairs in three, 1+i%2 skeleton families of 1+i%4
+// chains each, so window and chain counts tie across many pairs.
+func coverageStore(n int) *tcache.Store {
+	s := tcache.NewStore(4 * n)
+	for i := range n {
+		k := tcache.Key{Src: model.PartitionID(i / 64), Tgt: model.PartitionID(i % 64)}
+		pk := tcache.PointKey{Src: geom.Pt(float64(i), 0, 0), Tgt: geom.Pt(0, float64(i), 0), Speed: 1}
+		for w := range 1 + i%3 {
+			open := temporal.TimeOfDay(w*3600 + i%7*60)
+			s.Insert(k, pk, &tcache.Entry{Window: temporal.Interval{Open: open, Close: open + temporal.TimeOfDay(600+i%5*100)}})
+		}
+		if i%3 == 2 {
+			continue
+		}
+		for f := range 1 + i%2 {
+			iv := temporal.Interval{Open: temporal.TimeOfDay(f * 7200), Close: temporal.TimeOfDay(f*7200 + 3600 + i%3*600)}
+			s.InsertFamily(k, &tcache.FamilyEntry{Window: iv, Fam: &core.SkeletonFamily{Window: iv, Chains: make([]*core.Skeleton, 1+i%4)}})
+		}
+	}
+	return s
+}
+
+// TestCoverageRowsMatchFullSort checks the bounded coverage read
+// against the listing it replaces: every pair collected, fully sorted
+// (most windows or chains first, ties by ascending source, then
+// target) and cut to maxPairRows. The rows, both totals and each top
+// pair's day coverage must agree, on stores below, near and far above
+// the row cap.
+func TestCoverageRowsMatchFullSort(t *testing.T) {
+	reg := NewRegistry(service.Options{})
+	if _, err := reg.AddPresets("mall"); err != nil {
+		t.Fatal(err)
+	}
+	ve, _ := reg.Get("mall")
+	mv := ve.Model()
+	for _, n := range []int{50, 200, 4000} {
+		s := coverageStore(n)
+		// Top pairs inside the listing, past it, and one with no windows.
+		topKeys := []tcache.Key{{Src: 0, Tgt: 2}, {Src: 3, Tgt: 7}, {Src: 0, Tgt: 49}, {Src: 63, Tgt: 63}}
+		var doc MethodStatsDoc
+		top := make(map[tcache.Key]int)
+		for _, k := range topKeys {
+			top[k] = len(doc.TopPairs)
+			doc.TopPairs = append(doc.TopPairs, HotPairDoc{Src: partName(mv, k.Src), Tgt: partName(mv, k.Tgt)})
+		}
+		addCoverage(&doc, mv, top, s.Coverage, s.SkeletonCoverage)
+
+		fullSort := func(walk func(func(tcache.PairCoverage))) []tcache.PairCoverage {
+			var all []tcache.PairCoverage
+			walk(func(pc tcache.PairCoverage) { all = append(all, pc) })
+			sort.Slice(all, func(i, j int) bool {
+				if all[i].Windows != all[j].Windows {
+					return all[i].Windows > all[j].Windows
+				}
+				if all[i].Key.Src != all[j].Key.Src {
+					return all[i].Key.Src < all[j].Key.Src
+				}
+				return all[i].Key.Tgt < all[j].Key.Tgt
+			})
+			return all
+		}
+		windows, skels := fullSort(s.Coverage), fullSort(s.SkeletonCoverage)
+		if doc.WindowPairsTotal != len(windows) || doc.SkeletonPairsTotal != len(skels) {
+			t.Fatalf("n=%d: totals %d and %d, want %d and %d", n, doc.WindowPairsTotal, doc.SkeletonPairsTotal, len(windows), len(skels))
+		}
+		wantW := []WindowPairDoc{}
+		for _, pc := range windows[:min(len(windows), maxPairRows)] {
+			wantW = append(wantW, WindowPairDoc{Src: partName(mv, pc.Key.Src), Tgt: partName(mv, pc.Key.Tgt),
+				Families: pc.Families, Windows: pc.Windows, DayCoverage: dayCoverage(pc)})
+		}
+		wantS := []SkeletonPairDoc{}
+		for _, pc := range skels[:min(len(skels), maxPairRows)] {
+			wantS = append(wantS, SkeletonPairDoc{Src: partName(mv, pc.Key.Src), Tgt: partName(mv, pc.Key.Tgt),
+				Families: pc.Families, Chains: pc.Windows, DayCoverage: pc.CoveredSec / float64(temporal.DaySeconds)})
+		}
+		if !reflect.DeepEqual(doc.WindowPairs, wantW) {
+			t.Fatalf("n=%d: window rows\n got %+v\nwant %+v", n, doc.WindowPairs, wantW)
+		}
+		if !reflect.DeepEqual(doc.SkeletonPairs, wantS) {
+			t.Fatalf("n=%d: skeleton rows\n got %+v\nwant %+v", n, doc.SkeletonPairs, wantS)
+		}
+		for _, k := range topKeys {
+			want := 0.0
+			for _, pc := range windows {
+				if pc.Key == k {
+					want = dayCoverage(pc)
+				}
+			}
+			if got := doc.TopPairs[top[k]].DayCoverage; got != want {
+				t.Fatalf("n=%d: top pair %v day coverage %v, want %v", n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestCoverageReadAllocs pins that a coverage read costs its rows, not
+// the store: over 4,000 stored pairs it allocates as often as over 200,
+// and not twice the bytes (a copy of every pair would take twenty
+// times as many).
+func TestCoverageReadAllocs(t *testing.T) {
+	reg := NewRegistry(service.Options{})
+	if _, err := reg.AddPresets("mall"); err != nil {
+		t.Fatal(err)
+	}
+	ve, _ := reg.Get("mall")
+	mv := ve.Model()
+	read := func(n int) (allocs, bytes float64) {
+		s := coverageStore(n)
+		run := func() {
+			var doc MethodStatsDoc
+			addCoverage(&doc, mv, nil, s.Coverage, s.SkeletonCoverage)
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range 20 {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / 20
+	}
+	smallN, smallB := read(200)
+	largeN, largeB := read(4000)
+	if smallN != largeN || largeB > 2*smallB {
+		t.Fatalf("coverage read: %v allocations and %.0f bytes over 200 pairs, %v and %.0f over 4000",
+			smallN, smallB, largeN, largeB)
 	}
 }

@@ -143,8 +143,8 @@ type RouteResponse struct {
 	// cache could answer: "no_exact_entry", "window_family_absent",
 	// "outside_windows", "skeleton_uncertified" (a skeleton family
 	// covered the departure but could not certify a composition for
-	// these exact points), "epoch_raced" or "uncacheable" (the
-	// obs.Reason vocabulary). Absent on hits and on deduped copies.
+	// these exact points) or "uncacheable" (the obs.Reason
+	// vocabulary). Absent on hits and on deduped copies.
 	Explain string    `json:"explain,omitempty"`
 	Error   *ErrorDoc `json:"error,omitempty"`
 	// Trace is the request's span trace, present only when the

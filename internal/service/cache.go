@@ -10,11 +10,10 @@ import (
 )
 
 // cacheKey addresses one cache bucket: the (source partition, target
-// partition, checkpoint slot) triple of the issue's caching scheme.
-// Keying buckets by partition pair and slot gives slot-granular
-// invalidation (a schedule change voids exactly the affected slots)
-// and partition-level locality: every exact-query entry for one OD
-// region at one topology epoch lives in one bucket.
+// partition, checkpoint slot) triple of the queries it holds. Eviction
+// sheds whole buckets, so the key sets how much the cache drops at a
+// time: every exact-query entry for one OD region within one
+// constant-topology slot ages out together.
 type cacheKey struct {
 	src  model.PartitionID
 	tgt  model.PartitionID
@@ -33,92 +32,55 @@ type entryKey struct {
 	speed    float64
 }
 
-// cacheEntry is one stored outcome plus the checkpoint-slot range its
-// answer depends on. A found path's validity and optimality depend on
-// every slot between departure and arrival: closing a door can only
-// break the path itself (whose arrivals lie in that range), and opening
-// a door can only create a shorter path, whose door arrivals all
-// precede the cached arrival. No-route outcomes and walks that wrap
-// past midnight have no such bound and are marked spansAll.
-type cacheEntry struct {
-	res              Result
-	minSlot, maxSlot int
-	spansAll         bool
-}
-
-func (e cacheEntry) touches(slot int) bool {
-	return e.spansAll || (slot >= e.minSlot && slot <= e.maxSlot)
-}
-
 // resultCache is a bounded, concurrency-safe map from (bucket, entry)
 // to query outcomes. Eviction drops whole buckets (arbitrary order via
 // map iteration) until the entry count is back under capacity — crude,
 // but O(1) amortised and sufficient for a steady-state serving cache
-// where whole OD-pair/slot regions age out together. The epoch counter
-// guards against a search that raced an invalidation re-inserting a
-// pre-invalidation result: put discards outcomes computed before the
-// latest invalidation.
+// where whole OD-pair/slot regions age out together. Eviction is the
+// only way an entry leaves: a schedule swap retires the whole cache
+// with the pool's backend.
 type resultCache struct {
 	mu      sync.RWMutex
 	cap     int
 	size    int
-	evicted int64 // entries shed by capacity eviction (not invalidation)
-	epochN  uint64
-	buckets map[cacheKey]map[entryKey]cacheEntry
+	evicted int64 // entries shed by capacity eviction
+	buckets map[cacheKey]map[entryKey]Result
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, buckets: make(map[cacheKey]map[entryKey]cacheEntry)}
-}
-
-// epoch returns the invalidation epoch; capture it before a search and
-// hand it back to put.
-func (c *resultCache) epoch() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epochN
+	return &resultCache{cap: capacity, buckets: make(map[cacheKey]map[entryKey]Result)}
 }
 
 func (c *resultCache) get(key cacheKey, ekey entryKey) (Result, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	b, ok := c.buckets[key]
-	if !ok {
-		return Result{}, false
-	}
-	e, ok := b[ekey]
-	return e.res, ok
+	r, ok := c.buckets[key][ekey]
+	return r, ok
 }
 
-// put stores an entry, reporting whether it was kept. False means the
-// capture epoch is stale — an invalidation ran while the outcome was
-// computed — which callers surface as the epoch_raced miss reason.
-func (c *resultCache) put(key cacheKey, ekey entryKey, e cacheEntry, epoch uint64) bool {
+// put stores an outcome, evicting down to capacity.
+func (c *resultCache) put(key cacheKey, ekey entryKey, r Result) {
 	// Never republish transient flags from the computing caller: a
 	// later get re-labels the outcome as its own (exact) hit.
-	e.res.CacheHit = false
-	e.res.Shared = false
-	e.res.SharedRun = false
-	e.res.Hit = HitMiss
-	e.res.Explain = obs.ReasonNone
+	r.CacheHit = false
+	r.Shared = false
+	r.SharedRun = false
+	r.Hit = HitMiss
+	r.Explain = obs.ReasonNone
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epochN {
-		return false // an invalidation ran while this outcome was computed
-	}
 	b, ok := c.buckets[key]
 	if !ok {
-		b = make(map[entryKey]cacheEntry)
+		b = make(map[entryKey]Result)
 		c.buckets[key] = b
 	}
 	if _, exists := b[ekey]; !exists {
 		c.size++
 	}
-	b[ekey] = e
+	b[ekey] = r
 	for c.size > c.cap {
 		c.evictLocked(key, ekey)
 	}
-	return true
 }
 
 // evictLocked drops one bucket other than keep (the bucket just written
@@ -151,43 +113,8 @@ func (c *resultCache) evictLocked(keep cacheKey, keepE entryKey) {
 	}
 }
 
-// invalidateSlot drops every entry whose answer can depend on slot:
-// entries whose departure-to-arrival slot range contains it, plus all
-// unbounded (spansAll) entries.
-func (c *resultCache) invalidateSlot(slot int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epochN++
-	for k, b := range c.buckets {
-		for ek, e := range b {
-			if e.touches(slot) {
-				delete(b, ek)
-				c.size--
-			}
-		}
-		if len(b) == 0 {
-			delete(c.buckets, k)
-		}
-	}
-}
-
-func (c *resultCache) invalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epochN++
-	c.buckets = make(map[cacheKey]map[entryKey]cacheEntry)
-	c.size = 0
-}
-
-func (c *resultCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.size
-}
-
 // usage returns occupancy, capacity and the count of entries shed by
-// capacity eviction since construction (invalidation drops not
-// included).
+// capacity eviction since construction.
 func (c *resultCache) usage() (size, capacity int, evicted int64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -349,26 +349,23 @@ func TestRaceWindowPoolSweepByteIdentical(t *testing.T) {
 }
 
 func TestRaceCacheInvalidationDuringRoutes(t *testing.T) {
-	// Invalidation racing with queries: exercises the cache write paths
-	// from multiple directions at once.
+	// Backend swaps racing with queries: every swap drops the 64-entry
+	// cache while routes read it, fill it and evict from it. The swaps
+	// reinstall the same graph, so every answer stays checkable.
 	pool, qs := mallPool(t, core.MethodSyn, Options{CacheCapacity: 64})
+	g := pool.Graph()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		slot := 0
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			pool.InvalidateSlot(slot % pool.Graph().Checkpoints().SlotCount())
-			slot++
-			if slot%7 == 0 {
-				pool.InvalidateCache()
-			}
+			pool.SetGraph(g)
 		}
 	}()
 	hammer(t, pool, qs, 6, 30)

@@ -57,16 +57,11 @@ type Options struct {
 	// and length from the stored answer, arrival times recomputed for
 	// the query's own departure. The exact cache (when enabled) is
 	// consulted first; window answers obey the same swap semantics (a
-	// SetGraph/UpdateSchedules swap drops the whole store) and
-	// InvalidateSlot drops windows overlapping the slot's time range.
-	// Off by default: the exact cache remains the default backend.
+	// SetGraph/UpdateSchedules swap drops the whole store). The store
+	// holds up to tcache.DefaultCapacity windows and, counted
+	// separately, as many SkeletonCache families. Off by default: the
+	// exact cache remains the default backend.
 	WindowCache bool
-	// WindowCapacity bounds the number of stored validity windows:
-	// 0 means tcache.DefaultCapacity, and negative disables the window
-	// store even when WindowCache is set (mirroring CacheCapacity).
-	// SkeletonCache families share the same store and the same capacity
-	// value (budgeted independently — see tcache).
-	WindowCapacity int
 	// SkeletonCache enables the point-free skeleton layer
 	// (core.SkeletonFamily in internal/tcache): an engine miss on a
 	// (source partition, target partition) pair the pool has seen before
@@ -79,10 +74,9 @@ type Options struct {
 	// search, no engine run. Compositions that cannot be certified fall
 	// through to an engine with obs.ReasonSkeletonUncertified
 	// provenance. Probe order: exact cache, point windows, skeletons,
-	// engine. Families obey the same swap/invalidation semantics as
-	// windows and are disabled alongside them by a negative
-	// WindowCapacity or by the SinglePartitionExpansion ablation. Off
-	// by default.
+	// engine. Families live in the window store, so a swap drops them
+	// with the windows; the SinglePartitionExpansion ablation disables
+	// them. Off by default.
 	SkeletonCache bool
 	// SharedBatch enables the shared-execution batch planner
 	// (internal/batchplan): RouteBatch partitions each batch into
@@ -150,7 +144,7 @@ type Result struct {
 	Coalesced bool
 	// Explain is the decision provenance of a cache miss: why no cache
 	// could answer (obs.ReasonNoExactEntry, ReasonWindowFamilyAbsent,
-	// ReasonOutsideWindows, ReasonSkeletonUncertified, ReasonEpochRaced,
+	// ReasonOutsideWindows, ReasonSkeletonUncertified,
 	// ReasonUncacheable). ReasonNone on hits and shared/deduped copies
 	// of a hit.
 	Explain obs.Reason
@@ -189,9 +183,9 @@ type Stats struct {
 	// Cache occupancy and pressure. CacheEntries/Windows and the
 	// capacities are gauges over the live backend (zero when the cache
 	// is disabled); the eviction counters count entries shed by
-	// capacity pressure — not invalidation — and stay monotone across
-	// backend swaps (retired backends' counts fold into the total at
-	// swap time).
+	// capacity pressure — a swap's wholesale drop is not an eviction —
+	// and stay monotone across backend swaps (retired backends' counts
+	// fold into the total at swap time).
 	CacheEntries    int64 `json:"cache_entries"`
 	CacheCapacity   int64 `json:"cache_capacity"`
 	CacheEvictions  int64 `json:"cache_evictions"`
@@ -210,14 +204,16 @@ type Stats struct {
 // fields partition the engine-answered queries by why no cache could
 // serve them; the solo fields count batch/coalesce members that ran a
 // dedicated search instead of joining a shared run. Field names match
-// the obs.Reason wire vocabulary.
+// the obs.Reason wire vocabulary. MissEpochRaced is always 0, since
+// every computed outcome is offered to the stores; the field and its
+// /statsz key stay for the readers that still parse them.
 type ReasonStats struct {
 	MissUncacheable         int64 `json:"miss_uncacheable"`
 	MissNoExactEntry        int64 `json:"miss_no_exact_entry"`
 	MissWindowFamilyAbsent  int64 `json:"miss_window_family_absent"`
 	MissOutsideWindows      int64 `json:"miss_outside_windows"`
 	MissSkeletonUncertified int64 `json:"miss_skeleton_uncertified"`
-	MissEpochRaced          int64 `json:"miss_epoch_raced"`
+	MissEpochRaced          int64 `json:"miss_epoch_raced"` // always 0, see above
 	SoloPrivatePartition    int64 `json:"solo_private_partition"`
 	SoloSingletonGroup      int64 `json:"solo_singleton_group"`
 	SoloAblation            int64 `json:"solo_ablation"`
@@ -239,7 +235,6 @@ func (r ReasonStats) Counts() []ReasonCount {
 		{obs.ReasonWindowFamilyAbsent, r.MissWindowFamilyAbsent},
 		{obs.ReasonOutsideWindows, r.MissOutsideWindows},
 		{obs.ReasonSkeletonUncertified, r.MissSkeletonUncertified},
-		{obs.ReasonEpochRaced, r.MissEpochRaced},
 		{obs.ReasonPrivatePartition, r.SoloPrivatePartition},
 		{obs.ReasonSingletonGroup, r.SoloSingletonGroup},
 		{obs.ReasonAblation, r.SoloAblation},
@@ -255,7 +250,6 @@ func (r ReasonStats) Sub(o ReasonStats) ReasonStats {
 		MissWindowFamilyAbsent:  r.MissWindowFamilyAbsent - o.MissWindowFamilyAbsent,
 		MissOutsideWindows:      r.MissOutsideWindows - o.MissOutsideWindows,
 		MissSkeletonUncertified: r.MissSkeletonUncertified - o.MissSkeletonUncertified,
-		MissEpochRaced:          r.MissEpochRaced - o.MissEpochRaced,
 		SoloPrivatePartition:    r.SoloPrivatePartition - o.SoloPrivatePartition,
 		SoloSingletonGroup:      r.SoloSingletonGroup - o.SoloSingletonGroup,
 		SoloAblation:            r.SoloAblation - o.SoloAblation,
@@ -270,7 +264,6 @@ func (r ReasonStats) Add(o ReasonStats) ReasonStats {
 		MissWindowFamilyAbsent:  r.MissWindowFamilyAbsent + o.MissWindowFamilyAbsent,
 		MissOutsideWindows:      r.MissOutsideWindows + o.MissOutsideWindows,
 		MissSkeletonUncertified: r.MissSkeletonUncertified + o.MissSkeletonUncertified,
-		MissEpochRaced:          r.MissEpochRaced + o.MissEpochRaced,
 		SoloPrivatePartition:    r.SoloPrivatePartition + o.SoloPrivatePartition,
 		SoloSingletonGroup:      r.SoloSingletonGroup + o.SoloSingletonGroup,
 		SoloAblation:            r.SoloAblation + o.SoloAblation,
@@ -400,25 +393,23 @@ func (p *Pool) Effort() EffortSnapshot {
 	}
 }
 
-// WindowCoverage snapshots the live window store's per-pair window
-// counts and day coverage (nil when the window cache is disabled).
-func (p *Pool) WindowCoverage() []tcache.PairCoverage {
-	b := p.backend.Load()
-	if b.windows == nil || !p.opts.WindowCache {
-		return nil
+// WindowCoverage calls f with each stored pair's window counts and
+// covered seconds in the live store (tcache.Store.Coverage); it makes
+// no call when the window cache is disabled.
+func (p *Pool) WindowCoverage(f func(tcache.PairCoverage)) {
+	if b := p.backend.Load(); b.windows != nil && p.opts.WindowCache {
+		b.windows.Coverage(f)
 	}
-	return b.windows.Coverage()
 }
 
-// SkeletonCoverage snapshots the live store's per-pair skeleton
-// occupancy — slot families, stored chains and covered slot seconds —
-// nil when the skeleton cache is disabled.
-func (p *Pool) SkeletonCoverage() []tcache.PairCoverage {
-	b := p.backend.Load()
-	if !p.skeletonEnabled(b) {
-		return nil
+// SkeletonCoverage calls f with each stored pair's skeleton occupancy —
+// slot families, stored chains and covered slot seconds
+// (tcache.Store.SkeletonCoverage); it makes no call when the skeleton
+// cache is disabled.
+func (p *Pool) SkeletonCoverage(f func(tcache.PairCoverage)) {
+	if b := p.backend.Load(); p.skeletonEnabled(b) {
+		b.windows.SkeletonCoverage(f)
 	}
-	return b.windows.SkeletonCoverage()
 }
 
 // observeEffort feeds one completed search's statistics into the
@@ -451,8 +442,8 @@ func (p *Pool) newBackend(g *itgraph.Graph) *poolBackend {
 	default:
 		b.cache = newResultCache(p.opts.CacheCapacity)
 	}
-	if (p.opts.WindowCache || p.opts.SkeletonCache) && p.opts.WindowCapacity >= 0 {
-		b.windows = tcache.NewStore(p.opts.WindowCapacity)
+	if p.opts.WindowCache || p.opts.SkeletonCache {
+		b.windows = tcache.NewStore(tcache.DefaultCapacity)
 	}
 	return b
 }
@@ -568,7 +559,6 @@ func (p *Pool) reasonStats() ReasonStats {
 		MissWindowFamilyAbsent:  p.reasonCounts[obs.ReasonWindowFamilyAbsent].Load(),
 		MissOutsideWindows:      p.reasonCounts[obs.ReasonOutsideWindows].Load(),
 		MissSkeletonUncertified: p.reasonCounts[obs.ReasonSkeletonUncertified].Load(),
-		MissEpochRaced:          p.reasonCounts[obs.ReasonEpochRaced].Load(),
 		SoloPrivatePartition:    p.reasonCounts[obs.ReasonPrivatePartition].Load(),
 		SoloSingletonGroup:      p.reasonCounts[obs.ReasonSingletonGroup].Load(),
 		SoloAblation:            p.reasonCounts[obs.ReasonAblation].Load(),
@@ -619,7 +609,7 @@ func (p *Pool) route(tr *obs.Trace, q core.Query) Result {
 func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) Result {
 	p.queries.Add(1)
 	sp := tr.Start(obs.StageProbe)
-	r, ok, epoch, wepoch, reason := p.lookupCaches(b, q, key, ekey, cacheable)
+	r, ok, reason := p.lookupCaches(b, q, key, ekey, cacheable)
 	if tr == nil || ok {
 		sp.End()
 	} else {
@@ -632,19 +622,17 @@ func (p *Pool) routeKeyed(tr *obs.Trace, b *poolBackend, q core.Query, key cache
 		return r
 	}
 	e := b.engines.Get().(*core.Engine)
-	r = p.searchMiss(tr, b, e, q, key, ekey, cacheable, epoch, wepoch, reason)
+	r = p.searchMiss(tr, b, e, q, key, ekey, cacheable, reason)
 	b.engines.Put(e)
 	return r
 }
 
 // searchMiss answers one cache miss with a dedicated search on the
-// checked-out engine e: engine span, Route, store span (the miss's
-// provenance upgrades to epoch_raced when a guard discards the
-// outcome), then the miss booking — reason tally, effort histograms
-// and, for cacheable queries, the pair table. The caller has already
-// counted the query.
+// checked-out engine e: engine span, Route, store span, then the miss
+// booking — reason tally, effort histograms and, for cacheable
+// queries, the pair table. The caller has already counted the query.
 func (p *Pool) searchMiss(tr *obs.Trace, b *poolBackend, e *core.Engine, q core.Query, key cacheKey, ekey entryKey,
-	cacheable bool, epoch, wepoch uint64, reason obs.Reason) Result {
+	cacheable bool, reason obs.Reason) Result {
 
 	sp := tr.Start(obs.StageEngine)
 	p.engineSearches.Add(1)
@@ -659,11 +647,7 @@ func (p *Pool) searchMiss(tr *obs.Trace, b *poolBackend, e *core.Engine, q core.
 	}
 	r := Result{Path: path, Stats: stats, Err: err, Hit: HitMiss}
 	sp = tr.Start(obs.StageStore)
-	if p.storeOutcome(b, e, q, key, ekey, cacheable, r, epoch, wepoch) {
-		// The computed outcome was discarded by an epoch guard: the
-		// cache state this miss reasoned about no longer exists.
-		reason = obs.ReasonEpochRaced
-	}
+	p.storeOutcome(b, e, q, key, ekey, cacheable, r)
 	sp.End()
 	r.Explain = reason
 	p.reasonCounts[reason].Add(1)
@@ -693,36 +677,28 @@ type planAttrs struct {
 
 // lookupCaches serves q from the exact cache, then the validity-window
 // cache, then the pair's skeleton family, counting hits (pool counters
-// and the pair table). On a miss it returns the store epochs captured
-// before any search, for the epoch-guarded inserts of storeOutcome,
-// plus the miss's provenance; the caller books the miss once the
-// outcome — including a possible epoch race — is known.
+// and the pair table). On a miss it returns the miss's provenance; the
+// caller books the miss once the outcome is known.
 //
 // Probe order is cheapest-first: an exact hit is a map step, a window
 // hit a binary search plus an arrival rebase, a skeleton hit a
 // composition over the family's chains (two distance-matrix reads per
 // chain). None of the three checks out an engine.
-func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) (Result, bool, uint64, uint64, obs.Reason) {
-	useCache := cacheable && b.cache != nil
+func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey entryKey, cacheable bool) (Result, bool, obs.Reason) {
 	useWindows := cacheable && b.windows != nil && p.opts.WindowCache
 	useSkel := cacheable && p.skeletonEnabled(b) && key.src != key.tgt
 	reason := obs.ReasonNoExactEntry
 	if !cacheable {
 		reason = obs.ReasonUncacheable
 	}
-	var epoch, wepoch uint64
-	if useCache {
+	if cacheable && b.cache != nil {
 		if r, ok := b.cache.get(key, ekey); ok {
 			p.cacheHits.Add(1)
 			p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, ExactHits: 1})
 			r.CacheHit = true
 			r.Hit = HitExact
-			return r, true, 0, 0, obs.ReasonNone
+			return r, true, obs.ReasonNone
 		}
-		epoch = b.cache.epoch()
-	}
-	if useWindows || useSkel {
-		wepoch = b.windows.Epoch()
 	}
 	if useWindows {
 		ent, mk := b.windows.Probe(windowKey(key), windowPointKey(ekey), ekey.at)
@@ -736,7 +712,7 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 			p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, WindowHits: 1})
 			r.CacheHit = true
 			r.Hit = HitWindow
-			return r, true, 0, 0, obs.ReasonNone
+			return r, true, obs.ReasonNone
 		}
 		if mk == tcache.MissOutsideWindows {
 			reason = obs.ReasonOutsideWindows
@@ -752,7 +728,7 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 				r := Result{Path: path, Stats: fe.Stats, CacheHit: true, Hit: HitSkeleton}
 				p.skeletonHits.Add(1)
 				p.pairs.Feed(pairKeyOf(key), obs.PairSample{Queries: 1, SkeletonHits: 1})
-				return r, true, 0, 0, obs.ReasonNone
+				return r, true, obs.ReasonNone
 			}
 			// A family covers the departure but refused these endpoints:
 			// the most specific provenance, overriding the point-window
@@ -769,7 +745,7 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 			reason = obs.ReasonWindowFamilyAbsent
 		}
 	}
-	return Result{}, false, epoch, wepoch, reason
+	return Result{}, false, reason
 }
 
 // storeOutcome feeds one computed outcome into the exact and window
@@ -783,45 +759,32 @@ func (p *Pool) lookupCaches(b *poolBackend, q core.Query, key cacheKey, ekey ent
 // that produced (or rebased) the answer must still be checked out: the
 // window derivation replays its leg arithmetic and the family build
 // runs its frozen Dijkstras.
-// Reports whether an insert was discarded by an epoch guard (an
-// invalidation ran while the search was in flight) — the epoch_raced
-// provenance.
-func (p *Pool) storeOutcome(b *poolBackend, e *core.Engine, q core.Query, key cacheKey, ekey entryKey,
-	cacheable bool, r Result, epoch, wepoch uint64) (raced bool) {
-
-	if cacheable && b.cache != nil {
-		if !b.cache.put(key, ekey, entryFor(b, key, r), epoch) {
-			raced = true
-		}
+func (p *Pool) storeOutcome(b *poolBackend, e *core.Engine, q core.Query, key cacheKey, ekey entryKey, cacheable bool, r Result) {
+	if !cacheable {
+		return
 	}
-	if cacheable && b.windows != nil && p.opts.WindowCache && r.Err == nil && r.Path != nil {
+	if b.cache != nil {
+		b.cache.put(key, ekey, r)
+	}
+	if b.windows != nil && p.opts.WindowCache && r.Err == nil && r.Path != nil {
 		if went := windowEntryFor(e, q, r.Path, r.Stats); went != nil {
-			// Insert also rejects overlaps and degenerate windows; only
-			// an epoch move counts as a race.
-			if !b.windows.Insert(windowKey(key), windowPointKey(ekey), went, wepoch) &&
-				b.windows.Epoch() != wepoch {
-				raced = true
-			}
+			// Insert drops a window overlapping a stored one: both are
+			// proven over their windows, so keeping the first is sound.
+			b.windows.Insert(windowKey(key), windowPointKey(ekey), went)
 		}
 	}
-	if cacheable && p.skeletonEnabled(b) && key.src != key.tgt && r.Err == nil {
+	if p.skeletonEnabled(b) && key.src != key.tgt && r.Err == nil {
 		// Admission: this query is not yet fed into the pair table, so a
 		// seen pair means this miss is at least the pair's second query.
 		if _, mk := b.windows.ProbeFamily(windowKey(key), ekey.at); mk != tcache.MissNone &&
 			p.pairs.Seen(pairKeyOf(key)) {
 			if fam := e.BuildSkeletonFamily(key.src, key.tgt, ekey.at); fam != nil {
-				fe := &tcache.FamilyEntry{Window: fam.Window, Fam: fam, Stats: r.Stats}
-				// A losing insert against a concurrent same-slot build is
-				// not a race — identical families, first-in wins. Only an
-				// epoch move is.
-				if !b.windows.InsertFamily(windowKey(key), fe, wepoch) &&
-					b.windows.Epoch() != wepoch {
-					raced = true
-				}
+				// A concurrent same-slot build loses to the first insert:
+				// the families are identical.
+				b.windows.InsertFamily(windowKey(key), &tcache.FamilyEntry{Window: fam.Window, Fam: fam, Stats: r.Stats})
 			}
 		}
 	}
-	return raced
 }
 
 // windowKey and windowPointKey project the exact-cache keys onto the
@@ -881,21 +844,6 @@ func materializeWindow(ent *tcache.Entry, q core.Query, ekey entryKey) Result {
 		},
 		Stats: ent.Stats,
 	}
-}
-
-// entryFor derives the checkpoint-slot range a cached outcome depends
-// on. A found path's answer depends exactly on the slots its walk
-// spans; a no-route outcome (or a walk wrapping past midnight) can be
-// affected by a schedule change in any slot, so it is marked spansAll
-// and dropped on every slot invalidation.
-func entryFor(b *poolBackend, key cacheKey, r Result) cacheEntry {
-	e := cacheEntry{res: r, minSlot: key.slot, maxSlot: key.slot}
-	if r.Err != nil || r.Path == nil || r.Path.ArrivalAtTgt >= temporal.DaySeconds {
-		e.spansAll = true
-		return e
-	}
-	e.maxSlot = b.g.Checkpoints().SlotOf(r.Path.ArrivalAtTgt)
-	return e
 }
 
 // keysFor derives the cache keys of a query. cacheable is false when an
@@ -1151,10 +1099,10 @@ func (p *Pool) RouteBatchSummaryTraced(tr *obs.Trace, qs []core.Query) ([]Result
 // routeGroup executes one batchplan group: a per-member cache pass
 // (exact and window hits never reach the shared run), then one
 // checked-out engine answering every remaining member together via
-// RouteMany / RouteManyTo, with each answer fed through the same
-// epoch-guarded cache inserts a solo search uses. Static groups may
-// mix departure instants; those answers are restated per member by a
-// bit-identical departure rebase before caching and delivery.
+// RouteMany / RouteManyTo, with each answer fed through the same cache
+// inserts a solo search uses. Static groups may mix departure instants;
+// those answers are restated per member by a bit-identical departure
+// rebase before caching and delivery.
 func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items []batchplan.Item, grp *batchplan.Group,
 	keys []cacheKey, ekeys []entryKey, out []Result, sharedRuns *atomic.Int64) {
 
@@ -1182,9 +1130,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 	}
 
 	type pending struct {
-		i      int // batch index
-		epoch  uint64
-		wepoch uint64
+		i      int        // batch index
 		reason obs.Reason // the member's miss provenance
 	}
 	var rem []pending
@@ -1195,12 +1141,12 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 	for _, m := range grp.Members {
 		i := items[m].Index
 		p.queries.Add(1)
-		r, ok, epoch, wepoch, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true)
+		r, ok, reason := p.lookupCaches(b, qs[i], keys[i], ekeys[i], true)
 		if ok {
 			out[i] = r
 			continue
 		}
-		rem = append(rem, pending{i: i, epoch: epoch, wepoch: wepoch, reason: reason})
+		rem = append(rem, pending{i: i, reason: reason})
 		if grp.Kind == batchplan.SharedSource {
 			pts = append(pts, qs[i].Target)
 		} else {
@@ -1225,7 +1171,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 		// The caches absorbed the fan-out: a single miss is a plain
 		// solo search (solo provenance: nothing left to share with).
 		pm := rem[0]
-		out[pm.i] = p.searchMiss(tr, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, pm.epoch, pm.wepoch, pm.reason)
+		out[pm.i] = p.searchMiss(tr, b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, pm.reason)
 		p.reasonCounts[obs.ReasonSingletonGroup].Add(1)
 		return
 	}
@@ -1287,11 +1233,8 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 			Hit:       HitMiss,
 			SharedRun: counted && fromRun,
 		}
-		reason := pm.reason
-		if p.storeOutcome(b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r, pm.epoch, pm.wepoch) {
-			reason = obs.ReasonEpochRaced
-		}
-		r.Explain = reason
+		p.storeOutcome(b, e, qs[pm.i], keys[pm.i], ekeys[pm.i], true, r)
+		r.Explain = pm.reason
 		ps := obs.PairSample{Queries: 1}
 		if o.Solo {
 			// The run refused this member (an endpoint partition it
@@ -1310,7 +1253,7 @@ func (p *Pool) routeGroup(tr *obs.Trace, b *poolBackend, qs []core.Query, items 
 			ps.EngineSearches = 1
 			ps.Effort = int64(o.Stats.Pops)
 		}
-		p.reasonCounts[reason].Add(1)
+		p.reasonCounts[pm.reason].Add(1)
 		p.pairs.Feed(pairKeyOf(keys[pm.i]), ps)
 		out[pm.i] = r
 	}
@@ -1339,60 +1282,4 @@ func (p *Pool) routePartitionGroup(tr *obs.Trace, b *poolBackend, qs []core.Quer
 			p.reasonCounts[obs.ReasonSingletonGroup].Add(1)
 		}
 	}
-}
-
-// InvalidateSlot drops every cached outcome whose answer can depend on
-// checkpoint slot i. A cached path depends on every slot between its
-// departure and arrival, not just the departure slot, and no-route
-// outcomes have no slot bound at all, so this drops entries whose walk
-// spans slot i plus all no-route entries. Note that applying a
-// schedule change requires swapping the graph (SetGraph /
-// UpdateSchedules, which replace the whole cache); InvalidateSlot is
-// the finer-grained knob for cache-only concerns such as bounding
-// staleness per slot.
-func (p *Pool) InvalidateSlot(i int) {
-	b := p.backend.Load()
-	if c := b.cache; c != nil {
-		c.invalidateSlot(i)
-	}
-	if w := b.windows; w != nil {
-		// A stored window's departures — and, by the answer-window
-		// clamp, its whole walks — lie inside one checkpoint slot, so
-		// dropping windows overlapping the slot's time range voids
-		// exactly the answers that depend on it. Full-day windows
-		// (static answers) overlap every slot and always drop.
-		cps := b.g.Checkpoints()
-		w.InvalidateRange(temporal.Interval{Open: cps.SlotStart(i), Close: cps.SlotEnd(i)})
-	}
-}
-
-// InvalidateCache drops every cached outcome, windows included.
-func (p *Pool) InvalidateCache() {
-	b := p.backend.Load()
-	if c := b.cache; c != nil {
-		c.invalidateAll()
-	}
-	if w := b.windows; w != nil {
-		w.InvalidateAll()
-	}
-}
-
-// CacheLen returns the number of cached exact outcomes (0 when
-// disabled).
-func (p *Pool) CacheLen() int {
-	c := p.backend.Load().cache
-	if c == nil {
-		return 0
-	}
-	return c.len()
-}
-
-// WindowLen returns the number of stored validity windows (0 when the
-// window cache is disabled).
-func (p *Pool) WindowLen() int {
-	w := p.backend.Load().windows
-	if w == nil {
-		return 0
-	}
-	return w.Len()
 }

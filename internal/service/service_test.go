@@ -164,56 +164,94 @@ func TestPoolCacheHitsAndExactness(t *testing.T) {
 	if st.CacheHits != 2 {
 		t.Fatalf("CacheHits = %d, want 2", st.CacheHits)
 	}
-	if pool.CacheLen() == 0 {
+	if pool.Stats().CacheEntries == 0 {
 		t.Fatal("cache is empty after cached routes")
 	}
 }
 
-func TestPoolCacheInvalidation(t *testing.T) {
+// TestPoolCachesFoundAndNoRoute: found and no-route outcomes both
+// hit the exact cache on an identical repeat.
+func TestPoolCachesFoundAndNoRoute(t *testing.T) {
 	// Deterministic two-room venue: one door open [8:00, 16:00), so the
 	// checkpoint slots are [0,8), [8,16), [16,24).
-	b := model.NewBuilder("inval")
-	hall := b.AddPartition("hall", model.PublicPartition, geom.NewRect(0, 0, 10, 10, 0))
-	shop := b.AddPartition("shop", model.PublicPartition, geom.NewRect(10, 0, 20, 10, 0))
-	d := b.AddDoor("d", model.PublicDoor, geom.Pt(10, 5, 0), temporal.MustSchedule(
-		temporal.MustInterval(temporal.Clock(8, 0, 0), temporal.Clock(16, 0, 0))))
-	b.ConnectBi(d, hall, shop)
-	g := itgraph.MustNew(b.MustBuild())
+	g, _ := windowDemoVenue(t)
 	pool := New(g, Options{Engine: core.Options{Method: core.MethodSyn}})
 
 	q := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	pool.route(nil, q)
-	slot := g.Checkpoints().SlotOf(q.At) // the walk starts and ends inside this slot
-	// Invalidating an unrelated slot keeps the entry.
-	pool.InvalidateSlot(slot - 1)
-	if r := pool.route(nil, q); !r.CacheHit {
-		t.Fatal("unrelated slot invalidation dropped the found-path entry")
+	if r := pool.route(nil, q); r.Err != nil || r.CacheHit {
+		t.Fatalf("first route: err = %v, cache hit %v", r.Err, r.CacheHit)
 	}
-	// Invalidating a slot the walk spans drops it.
-	pool.InvalidateSlot(slot)
-	if r := pool.route(nil, q); r.CacheHit {
-		t.Fatal("query hit the cache after its slot was invalidated")
+	if r := pool.route(nil, q); !r.CacheHit {
+		t.Fatal("found outcome was not cached")
 	}
 
-	// A no-route outcome has no slot bound (a schedule change anywhere
-	// could create a route), so any slot invalidation drops it.
 	night := q
 	night.At = temporal.Clock(20, 0, 0)
 	if r := pool.route(nil, night); !errors.Is(r.Err, core.ErrNoRoute) {
 		t.Fatalf("night route err = %v, want ErrNoRoute", r.Err)
 	}
-	if r := pool.route(nil, night); !r.CacheHit {
-		t.Fatal("no-route outcome was not cached")
+	if r := pool.route(nil, night); !r.CacheHit || !errors.Is(r.Err, core.ErrNoRoute) {
+		t.Fatalf("no-route repeat: cache hit %v, err %v; want a cached ErrNoRoute", r.CacheHit, r.Err)
 	}
-	pool.InvalidateSlot(slot - 1)
-	if r := pool.route(nil, night); r.CacheHit {
-		t.Fatal("no-route entry survived a slot invalidation")
+}
+
+// TestPoolSwapIsTheOnlyDrop pins what a schedule swap does to the
+// stores: it empties the exact cache, the window store and the
+// skeleton families at once, while the eviction counters, which count
+// capacity pressure only, keep their values across it and go on
+// rising afterwards.
+func TestPoolSwapIsTheOnlyDrop(t *testing.T) {
+	g, v := windowDemoVenue(t)
+	pool := New(g, Options{Engine: core.Options{Method: core.MethodSyn}, CacheCapacity: 4, WindowCache: true, SkeletonCache: true})
+	rng := rand.New(rand.NewSource(8))
+	// wave routes hall -> shop from random points, found at noon and
+	// no-route at 20:00, until the exact cache has evicted past floor.
+	wave := func(floor int64) Stats {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if st := pool.Stats(); st.CacheEvictions > floor {
+				return st
+			}
+			src := geom.Pt(1+8*rng.Float64(), 1+8*rng.Float64(), 0)
+			tgt := geom.Pt(11+8*rng.Float64(), 1+8*rng.Float64(), 0)
+			for _, at := range []temporal.TimeOfDay{temporal.Clock(12, 0, 0), temporal.Clock(20, 0, 0)} {
+				r := pool.route(nil, core.Query{Source: src, Target: tgt, At: at})
+				if found := at < temporal.Clock(16, 0, 0); (r.Err == nil) != found {
+					t.Fatalf("route at %v: err = %v, want found = %v", at, r.Err, found)
+				}
+			}
+		}
+		t.Fatalf("the exact cache never evicted past %d: %v", floor, pool.Stats())
+		return Stats{}
+	}
+	before := wave(0)
+	if before.CacheEntries == 0 || before.Windows == 0 || before.SkelFamilies == 0 {
+		t.Fatalf("stores not filled before the swap: %+v", before)
 	}
 
-	pool.InvalidateCache()
-	if pool.CacheLen() != 0 {
-		t.Fatalf("CacheLen = %d after full invalidation", pool.CacheLen())
+	// The swap keeps the door's hours, so the second wave routes as the
+	// first did.
+	did, _ := v.DoorByName("d")
+	hours := temporal.MustSchedule(temporal.MustInterval(temporal.Clock(8, 0, 0), temporal.Clock(16, 0, 0)))
+	if err := pool.UpdateSchedules(map[model.DoorID]temporal.Schedule{did: hours}); err != nil {
+		t.Fatal(err)
 	}
+	after := pool.Stats()
+	if after.CacheEntries != 0 || after.Windows != 0 || after.SkelFamilies != 0 {
+		t.Fatalf("swap left entries %d, windows %d, families %d", after.CacheEntries, after.Windows, after.SkelFamilies)
+	}
+	if after.CacheEvictions != before.CacheEvictions || after.WindowEvictions != before.WindowEvictions ||
+		after.SkelEvictions != before.SkelEvictions {
+		t.Fatalf("evictions moved across the swap: before %d/%d/%d, after %d/%d/%d",
+			before.CacheEvictions, before.WindowEvictions, before.SkelEvictions,
+			after.CacheEvictions, after.WindowEvictions, after.SkelEvictions)
+	}
+	if after.Epoch != before.Epoch+1 {
+		t.Fatalf("epoch %d after one swap from %d", after.Epoch, before.Epoch)
+	}
+	last := wave(before.CacheEvictions)
+	t.Logf("cache evictions: %d before the swap, %d after it, %d after the second wave",
+		before.CacheEvictions, after.CacheEvictions, last.CacheEvictions)
 }
 
 func TestPoolUpdateSchedules(t *testing.T) {
@@ -241,8 +279,8 @@ func TestPoolUpdateSchedules(t *testing.T) {
 	if err := pool.UpdateSchedules(map[model.DoorID]temporal.Schedule{did: night}); err != nil {
 		t.Fatal(err)
 	}
-	if pool.CacheLen() != 0 {
-		t.Fatalf("CacheLen = %d after schedule swap", pool.CacheLen())
+	if pool.Stats().CacheEntries != 0 {
+		t.Fatalf("CacheEntries = %d after schedule swap", pool.Stats().CacheEntries)
 	}
 	r := pool.route(nil, q)
 	if !errors.Is(r.Err, core.ErrNoRoute) {
@@ -279,7 +317,7 @@ func TestPoolCacheHotBucketEviction(t *testing.T) {
 			At: temporal.Clock(12, 0, i), // distinct seconds, same slot
 		}
 		pool.route(nil, q)
-		if n := pool.CacheLen(); n > 4 {
+		if n := pool.Stats().CacheEntries; n > 4 {
 			t.Fatalf("cache grew to %d entries, capacity 4", n)
 		}
 		if r := pool.route(nil, q); !r.CacheHit {
@@ -295,7 +333,7 @@ func TestPoolCacheEviction(t *testing.T) {
 	pool := New(g, Options{Engine: core.Options{Method: core.MethodSyn}, CacheCapacity: 8})
 	for _, q := range randomQueries(rng, 200, 50, 50) {
 		pool.route(nil, q)
-		if n := pool.CacheLen(); n > 8 {
+		if n := pool.Stats().CacheEntries; n > 8 {
 			t.Fatalf("cache grew to %d entries, capacity 8", n)
 		}
 	}
@@ -311,7 +349,7 @@ func TestPoolCacheDisabled(t *testing.T) {
 	if r := pool.route(nil, q); r.CacheHit {
 		t.Fatal("cache hit with caching disabled")
 	}
-	if pool.CacheLen() != 0 {
+	if pool.Stats().CacheEntries != 0 {
 		t.Fatal("disabled cache holds entries")
 	}
 }

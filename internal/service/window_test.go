@@ -41,8 +41,8 @@ func TestWindowPoolProvenance(t *testing.T) {
 	if r1.Hit != HitMiss || r1.CacheHit {
 		t.Fatalf("first route: hit=%q cacheHit=%v, want miss", r1.Hit, r1.CacheHit)
 	}
-	if pool.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d after one found route, want 1", pool.WindowLen())
+	if pool.Stats().Windows != 1 {
+		t.Fatalf("Windows = %d after one found route, want 1", pool.Stats().Windows)
 	}
 
 	// Same slot, shifted departure: a window hit with rebased arrivals —
@@ -137,8 +137,8 @@ func TestWindowPoolNoRouteNotWindowCached(t *testing.T) {
 	if r := pool.route(nil, q); !errors.Is(r.Err, core.ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", r.Err)
 	}
-	if pool.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d, want 0 (no-route outcomes have no window)", pool.WindowLen())
+	if pool.Stats().Windows != 0 {
+		t.Fatalf("Windows = %d, want 0 (no-route outcomes have no window)", pool.Stats().Windows)
 	}
 	// The exact cache still covers the identical repeat.
 	if r := pool.route(nil, q); r.Hit != HitExact {
@@ -160,8 +160,8 @@ func TestWindowPoolSwapDropsStore(t *testing.T) {
 	if r := pool.route(nil, q); r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if pool.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d, want 1", pool.WindowLen())
+	if pool.Stats().Windows != 1 {
+		t.Fatalf("Windows = %d, want 1", pool.Stats().Windows)
 	}
 
 	// Close the door for the day: the swap must drop the whole store and
@@ -171,50 +171,14 @@ func TestWindowPoolSwapDropsStore(t *testing.T) {
 	if err := pool.UpdateSchedules(map[model.DoorID]temporal.Schedule{did: night}); err != nil {
 		t.Fatal(err)
 	}
-	if pool.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d after swap, want 0", pool.WindowLen())
+	if pool.Stats().Windows != 0 {
+		t.Fatalf("Windows = %d after swap, want 0", pool.Stats().Windows)
 	}
 	q2 := q
 	q2.At = temporal.Clock(12, 30, 0)
 	r := pool.route(nil, q2)
 	if r.Hit != HitMiss || !errors.Is(r.Err, core.ErrNoRoute) {
 		t.Fatalf("post-swap: hit=%q err=%v, want a fresh no-route", r.Hit, r.Err)
-	}
-}
-
-func TestWindowPoolInvalidateSlot(t *testing.T) {
-	g, _ := windowDemoVenue(t)
-	pool := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true})
-	qOpen := core.Query{Source: geom.Pt(5, 5, 0), Target: geom.Pt(15, 5, 0), At: temporal.Clock(12, 0, 0)}
-	qSame := core.Query{Source: geom.Pt(2, 5, 0), Target: geom.Pt(8, 5, 0), At: temporal.Clock(20, 0, 0)}
-	if r := pool.route(nil, qOpen); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r := pool.route(nil, qSame); r.Err != nil { // same-partition path, slot [16,24)
-		t.Fatal(r.Err)
-	}
-	if pool.WindowLen() != 2 {
-		t.Fatalf("WindowLen = %d, want 2", pool.WindowLen())
-	}
-
-	// Invalidating the [0,8) slot touches neither window.
-	pool.InvalidateSlot(0)
-	if pool.WindowLen() != 2 {
-		t.Fatalf("WindowLen = %d after unrelated slot invalidation, want 2", pool.WindowLen())
-	}
-	// Invalidating the [8,16) slot drops exactly the door-crossing one.
-	pool.InvalidateSlot(g.Checkpoints().SlotOf(qOpen.At))
-	if pool.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d, want 1", pool.WindowLen())
-	}
-	q2 := qOpen
-	q2.At = temporal.Clock(13, 0, 0)
-	if r := pool.route(nil, q2); r.Hit != HitMiss {
-		t.Fatalf("post-invalidation: hit=%q, want miss", r.Hit)
-	}
-	pool.InvalidateCache()
-	if pool.WindowLen() != 0 || pool.CacheLen() != 0 {
-		t.Fatalf("windows=%d exact=%d after InvalidateCache", pool.WindowLen(), pool.CacheLen())
 	}
 }
 
@@ -390,18 +354,7 @@ func TestWindowPoolDisabledByDefault(t *testing.T) {
 	if r := pool.route(nil, q2); r.Hit != HitMiss {
 		t.Fatalf("default pool served hit=%q for a shifted departure, want miss", r.Hit)
 	}
-	if pool.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d on a default pool", pool.WindowLen())
-	}
-
-	// Negative WindowCapacity disables the store even with WindowCache
-	// set, mirroring the CacheCapacity convention.
-	off := New(g, Options{Engine: core.Options{Method: core.MethodAsyn}, WindowCache: true, WindowCapacity: -1})
-	off.route(nil, q)
-	if r := off.route(nil, q2); r.Hit != HitMiss {
-		t.Fatalf("disabled window store served hit=%q", r.Hit)
-	}
-	if off.WindowLen() != 0 {
-		t.Fatalf("WindowLen = %d with WindowCapacity -1", off.WindowLen())
+	if st := pool.Stats(); st.Windows != 0 || st.WindowCapacity != 0 {
+		t.Fatalf("default pool holds %d of %d windows", st.Windows, st.WindowCapacity)
 	}
 }

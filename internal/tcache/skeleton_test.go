@@ -1,6 +1,8 @@
 package tcache
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,10 +27,10 @@ func TestStoreFamilyProbe(t *testing.T) {
 	if _, kind := s.ProbeFamily(k, 100); kind != MissFamilyAbsent {
 		t.Fatalf("empty store probe = %v, want MissFamilyAbsent", kind)
 	}
-	if !s.InsertFamily(k, famEntry(1000, 2000), s.Epoch()) {
+	if !s.InsertFamily(k, famEntry(1000, 2000)) {
 		t.Fatal("insert refused")
 	}
-	if !s.InsertFamily(k, famEntry(3000, 4000), s.Epoch()) {
+	if !s.InsertFamily(k, famEntry(3000, 4000)) {
 		t.Fatal("second slot insert refused")
 	}
 	if fe, kind := s.ProbeFamily(k, 1500); kind != MissNone || fe.Window.Open != 1000 {
@@ -54,63 +56,22 @@ func TestStoreFamilyProbe(t *testing.T) {
 func TestStoreFamilyOverlapAndEpoch(t *testing.T) {
 	s := NewStore(0)
 	k := key(1, 2)
-	if !s.InsertFamily(k, famEntry(1000, 2000), s.Epoch()) {
+	if !s.InsertFamily(k, famEntry(1000, 2000)) {
 		t.Fatal("insert refused")
 	}
 	// Overlapping slot: first-in wins.
-	if s.InsertFamily(k, famEntry(1500, 2500), s.Epoch()) {
+	if s.InsertFamily(k, famEntry(1500, 2500)) {
 		t.Fatal("overlapping family must be dropped")
 	}
-	if s.InsertFamily(k, famEntry(0, 0), s.Epoch()) || s.InsertFamily(k, nil, s.Epoch()) {
+	if s.InsertFamily(k, famEntry(0, 0)) || s.InsertFamily(k, nil) {
 		t.Fatal("degenerate families must be dropped")
-	}
-	epoch := s.Epoch()
-	s.InvalidateRange(temporal.Interval{Open: 0, Close: 100})
-	if s.InsertFamily(k, famEntry(3000, 4000), epoch) {
-		t.Fatal("family computed before an invalidation must be discarded")
-	}
-	if !s.InsertFamily(k, famEntry(3000, 4000), s.Epoch()) {
-		t.Fatal("fresh-epoch insert refused")
-	}
-}
-
-func TestStoreFamilyInvalidate(t *testing.T) {
-	s := NewStore(0)
-	s.InsertFamily(key(1, 2), famEntry(0, 1000), s.Epoch())
-	s.InsertFamily(key(1, 2), famEntry(2000, 3000), s.Epoch())
-	s.InsertFamily(key(3, 4), famEntry(0, temporal.DaySeconds), s.Epoch()) // static: full day
-	s.Insert(key(1, 2), pkey(0), entry(2000, 2500), s.Epoch())
-
-	s.InvalidateRange(temporal.Interval{Open: 2100, Close: 2200})
-	if _, kind := s.ProbeFamily(key(1, 2), 500); kind != MissNone {
-		t.Fatal("untouched family dropped")
-	}
-	if _, kind := s.ProbeFamily(key(1, 2), 2500); kind == MissNone {
-		t.Fatal("overlapping family survived invalidation")
-	}
-	if _, kind := s.ProbeFamily(key(3, 4), 50000); kind == MissNone {
-		t.Fatal("full-day family must be dropped by any range")
-	}
-	if _, ok := s.Lookup(key(1, 2), pkey(0), 2200); ok {
-		t.Fatal("overlapping point window survived invalidation")
-	}
-	if s.FamLen() != 1 {
-		t.Fatalf("FamLen = %d, want 1", s.FamLen())
-	}
-	if s.FamEvictions() != 0 {
-		t.Fatal("invalidation drops must not count as evictions")
-	}
-
-	s.InvalidateAll()
-	if s.FamLen() != 0 || s.Len() != 0 {
-		t.Fatalf("InvalidateAll left FamLen=%d Len=%d", s.FamLen(), s.Len())
 	}
 }
 
 func TestStoreFamilyEviction(t *testing.T) {
 	s := NewStore(4)
 	for i := 0; i < 10; i++ {
-		if !s.InsertFamily(key(i, i+1), famEntry(0, 1000), s.Epoch()) {
+		if !s.InsertFamily(key(i, i+1), famEntry(0, 1000)) {
 			t.Fatalf("insert %d refused", i)
 		}
 	}
@@ -123,7 +84,7 @@ func TestStoreFamilyEviction(t *testing.T) {
 	// Point-window capacity is budgeted independently: families at cap
 	// must not force window evictions or vice versa.
 	for i := 0; i < 4; i++ {
-		if !s.Insert(key(0, 1), pkey(float64(i)), entry(temporal.TimeOfDay(i*2000), temporal.TimeOfDay(i*2000+1000)), s.Epoch()) {
+		if !s.Insert(key(0, 1), pkey(float64(i)), entry(temporal.TimeOfDay(i*2000), temporal.TimeOfDay(i*2000+1000))) {
 			t.Fatalf("window insert %d refused", i)
 		}
 	}
@@ -136,7 +97,7 @@ func TestStoreFamilyEviction(t *testing.T) {
 	k := key(1, 2)
 	for i := 0; i < 6; i++ {
 		open := temporal.TimeOfDay(i * 2000)
-		if !hot.InsertFamily(k, famEntry(open, open+1000), hot.Epoch()) {
+		if !hot.InsertFamily(k, famEntry(open, open+1000)) {
 			t.Fatalf("hot insert %d refused", i)
 		}
 		if _, kind := hot.ProbeFamily(k, open+500); kind != MissNone {
@@ -148,16 +109,27 @@ func TestStoreFamilyEviction(t *testing.T) {
 	}
 }
 
+// collect gathers one coverage walk (Coverage or SkeletonCoverage),
+// which visits pairs in no particular order, sorted by pair.
+func collect(walk func(func(PairCoverage))) []PairCoverage {
+	var out []PairCoverage
+	walk(func(pc PairCoverage) { out = append(out, pc) })
+	slices.SortFunc(out, func(a, b PairCoverage) int {
+		return cmp.Or(cmp.Compare(a.Key.Src, b.Key.Src), cmp.Compare(a.Key.Tgt, b.Key.Tgt))
+	})
+	return out
+}
+
 func TestStoreFamilySkeletonCoverage(t *testing.T) {
 	s := NewStore(0)
 	fe := famEntry(0, 3600)
 	fe.Fam.Chains = append(fe.Fam.Chains, fe.Fam.Chains[0])
-	s.InsertFamily(key(1, 2), fe, s.Epoch())
-	s.InsertFamily(key(1, 2), famEntry(7200, 10800), s.Epoch())
-	s.InsertFamily(key(5, 6), famEntry(0, 1800), s.Epoch())
-	s.Insert(key(9, 9), pkey(0), entry(0, 100), s.Epoch())
+	s.InsertFamily(key(1, 2), fe)
+	s.InsertFamily(key(1, 2), famEntry(7200, 10800))
+	s.InsertFamily(key(5, 6), famEntry(0, 1800))
+	s.Insert(key(9, 9), pkey(0), entry(0, 100))
 
-	cov := s.SkeletonCoverage()
+	cov := collect(s.SkeletonCoverage)
 	if len(cov) != 2 {
 		t.Fatalf("SkeletonCoverage pairs = %d, want 2 (point-only pair excluded)", len(cov))
 	}
@@ -168,7 +140,7 @@ func TestStoreFamilySkeletonCoverage(t *testing.T) {
 		t.Fatalf("coverage[1] = %+v", cov[1])
 	}
 	// Window coverage in turn ignores skeleton-only pairs.
-	wcov := s.Coverage()
+	wcov := collect(s.Coverage)
 	if len(wcov) != 1 || wcov[0].Key != key(9, 9) {
 		t.Fatalf("Coverage = %+v, want the point-only pair alone", wcov)
 	}
@@ -184,11 +156,8 @@ func TestStoreFamilyConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := key(w%4, w%4+1)
 				open := temporal.TimeOfDay((i % 20) * 4000)
-				s.InsertFamily(k, famEntry(open, open+3000), s.Epoch())
+				s.InsertFamily(k, famEntry(open, open+3000))
 				s.ProbeFamily(k, open+1500)
-				if i%50 == 0 {
-					s.InvalidateRange(temporal.Interval{Open: open, Close: open + 100})
-				}
 			}
 		}(w)
 	}

@@ -1,7 +1,6 @@
 // Package tcache is the temporal result cache of the serving layer,
-// holding two complementary stores under one epoch/invalidation
-// regime, both keyed at the (source partition, target partition)
-// granularity schedule invalidation works at:
+// holding two complementary stores, both keyed by the (source
+// partition, target partition) pair of the answers they hold:
 //
 //   - Skeleton families (the primary, point-free index): per pair and
 //     per checkpoint slot, a core.SkeletonFamily of door-to-door
@@ -33,7 +32,7 @@
 //
 // Invariants the serving layer relies on:
 //
-//   - stored entries and families are immutable once inserted; Lookup
+//   - stored entries and families are immutable once inserted; Probe
 //     and ProbeFamily hand the same pointers to many goroutines (the
 //     door/partition slices are shared into materialised paths, which
 //     are immutable by the repository-wide path contract);
@@ -42,12 +41,10 @@
 //     own departure — never reuse the original instants; likewise a
 //     family answer must be recomposed per query
 //     (core.ComposeSkeletonPath), never replayed;
-//   - a schedule swap must drop the whole store (service swaps the
-//     backend, store included); InvalidateRange supports the finer
-//     slot-granular knob and voids families and windows alike;
-//   - the epoch counter guards the same race as resultCache's: a
-//     search that overlapped an invalidation must not re-insert its
-//     pre-invalidation window or family.
+//   - a store never drops an entry except by capacity eviction; a
+//     schedule swap must retire the whole store (service swaps the
+//     backend, store included), which also strands any insert still in
+//     flight on the old graph in the unreachable old store.
 //
 // Accounting: Len/Cap/Evictions cover point windows, FamLen/
 // FamEvictions cover skeleton families. The two populations share the
@@ -164,10 +161,9 @@ type Store struct {
 	mu         sync.RWMutex
 	cap        int
 	size       int   // total point windows across all series
-	evicted    int64 // windows shed by capacity eviction (not invalidation)
+	evicted    int64 // windows shed by capacity eviction
 	famSize    int   // total skeleton families across all buckets
-	famEvicted int64 // families shed by capacity eviction (not invalidation)
-	epochN     uint64
+	famEvicted int64 // families shed by capacity eviction
 	buckets    map[Key]*bucket
 }
 
@@ -181,26 +177,9 @@ func NewStore(capacity int) *Store {
 	return &Store{cap: capacity, buckets: make(map[Key]*bucket)}
 }
 
-// Epoch returns the invalidation epoch; capture it before the search
-// whose result will be inserted and hand it back to Insert or
-// InsertFamily.
-func (s *Store) Epoch() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epochN
-}
-
-// Lookup returns the entry whose validity window contains the
-// departure at, if one is stored for the query family.
-func (s *Store) Lookup(k Key, pk PointKey, at temporal.TimeOfDay) (*Entry, bool) {
-	e, _ := s.Probe(k, pk, at)
-	return e, e != nil
-}
-
 // MissKind says why a probe found nothing — the decision-provenance
-// split between "we never cached this", "we cached it, but not for
-// this departure", and "we cached it, but could not certify it for
-// this query".
+// split between "we never cached this" and "we cached it, but not for
+// this departure".
 type MissKind uint8
 
 const (
@@ -213,17 +192,11 @@ const (
 	// MissOutsideWindows: the probed identity exists but the departure
 	// time falls outside every stored validity window.
 	MissOutsideWindows
-	// MissSkeletonUncertified: a skeleton family covers the departure,
-	// but composing it for the concrete endpoints could not be
-	// certified byte-identical to a fresh search (see
-	// core.ComposeSkeletonPath). The store itself never returns this —
-	// certification needs the query's points — but the serving layer
-	// reports the outcome through the same vocabulary.
-	MissSkeletonUncertified
 )
 
-// Probe is Lookup additionally reporting why it missed. A hit returns
-// (entry, MissNone).
+// Probe returns the entry whose validity window contains the departure
+// at, if one is stored for the query family, and otherwise why it
+// missed. A hit returns (entry, MissNone).
 func (s *Store) Probe(k Key, pk PointKey, at temporal.TimeOfDay) (*Entry, MissKind) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -261,18 +234,14 @@ func (s *Store) ProbeFamily(k Key, at temporal.TimeOfDay) (*FamilyEntry, MissKin
 // Insert stores an entry, keeping the series sorted and disjoint. A
 // window overlapping an already-stored one is dropped (both are proven
 // correct over their windows; serving either is sound, and concurrent
-// searches in one slot derive identical windows anyway). Entries
-// computed before the store's current epoch are discarded — they raced
-// an invalidation. Reports whether the entry was stored.
-func (s *Store) Insert(k Key, pk PointKey, e *Entry, epoch uint64) bool {
+// searches in one slot derive identical windows anyway), as is an
+// empty window. Reports whether the entry was stored.
+func (s *Store) Insert(k Key, pk PointKey, e *Entry) bool {
 	if e == nil || e.Window.Duration() <= 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if epoch != s.epochN {
-		return false
-	}
 	b, ok := s.buckets[k]
 	if !ok {
 		b = &bucket{points: make(map[PointKey]*series)}
@@ -303,18 +272,14 @@ func (s *Store) Insert(k Key, pk PointKey, e *Entry, epoch uint64) bool {
 // InsertFamily stores a skeleton family for its pair, keeping the
 // family list sorted by opening and pairwise disjoint. A family whose
 // window overlaps a stored one is dropped — concurrent misses in one
-// slot build identical families, so first-in wins. Families computed
-// before the current epoch are discarded (they raced an
-// invalidation). Reports whether the family was stored.
-func (s *Store) InsertFamily(k Key, fe *FamilyEntry, epoch uint64) bool {
+// slot build identical families, so first-in wins — as is an empty
+// one. Reports whether the family was stored.
+func (s *Store) InsertFamily(k Key, fe *FamilyEntry) bool {
 	if fe == nil || fe.Fam == nil || fe.Window.Duration() <= 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if epoch != s.epochN {
-		return false
-	}
 	b, ok := s.buckets[k]
 	if !ok {
 		b = &bucket{points: make(map[PointKey]*series)}
@@ -438,63 +403,6 @@ func (s *Store) dropEmptyLocked(k Key) {
 	}
 }
 
-// InvalidateRange drops every window and every skeleton family
-// overlapping the interval — the slot-granular invalidation hook: a
-// schedule concern scoped to one checkpoint slot voids exactly the
-// state whose validity touches that slot. Full-day windows and
-// static-method families overlap every slot and are always dropped.
-func (s *Store) InvalidateRange(iv temporal.Interval) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epochN++
-	for k, b := range s.buckets {
-		for pk, ser := range b.points {
-			old := ser.entries
-			kept := old[:0]
-			for _, e := range old {
-				if e.Window.Overlaps(iv) {
-					s.size--
-					continue
-				}
-				kept = append(kept, e)
-			}
-			for i := len(kept); i < len(old); i++ {
-				old[i] = nil // release dropped entries for GC
-			}
-			ser.entries = kept
-			if len(ser.entries) == 0 {
-				delete(b.points, pk)
-			}
-		}
-		oldF := b.skels
-		keptF := oldF[:0]
-		for _, fe := range oldF {
-			if fe.Window.Overlaps(iv) {
-				s.famSize--
-				continue
-			}
-			keptF = append(keptF, fe)
-		}
-		for i := len(keptF); i < len(oldF); i++ {
-			oldF[i] = nil
-		}
-		b.skels = keptF
-		if b.empty() {
-			delete(s.buckets, k)
-		}
-	}
-}
-
-// InvalidateAll drops every window and every skeleton family.
-func (s *Store) InvalidateAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epochN++
-	s.buckets = make(map[Key]*bucket)
-	s.size = 0
-	s.famSize = 0
-}
-
 // Len returns the number of stored point windows (families are
 // counted by FamLen).
 func (s *Store) Len() int {
@@ -519,8 +427,7 @@ func (s *Store) Cap() int {
 }
 
 // Evictions returns the number of windows shed by capacity eviction
-// since construction. Invalidation drops are not counted — they are
-// correctness, not pressure.
+// since construction.
 func (s *Store) Evictions() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -528,8 +435,7 @@ func (s *Store) Evictions() int64 {
 }
 
 // FamEvictions returns the number of skeleton families shed by
-// capacity eviction since construction (invalidation drops excluded,
-// as with Evictions).
+// capacity eviction since construction.
 func (s *Store) FamEvictions() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -553,12 +459,13 @@ type PairCoverage struct {
 	CoveredSec float64
 }
 
-// Coverage snapshots every bucket's point-window tallies under one
-// read lock, sorted by descending window count (ties by ascending Src
-// then Tgt) so scrape output is deterministic.
-func (s *Store) Coverage() []PairCoverage {
+// Coverage calls f with each bucket's point-window tallies, under one
+// read lock and in no particular order. It allocates nothing, so a
+// reader that keeps a bounded selection pays for its rows, not for
+// the store. f must not call back into the store.
+func (s *Store) Coverage(f func(PairCoverage)) {
 	s.mu.RLock()
-	out := make([]PairCoverage, 0, len(s.buckets))
+	defer s.mu.RUnlock()
 	for k, b := range s.buckets {
 		if len(b.points) == 0 {
 			continue
@@ -570,20 +477,17 @@ func (s *Store) Coverage() []PairCoverage {
 				pc.CoveredSec += float64(e.Window.Duration())
 			}
 		}
-		out = append(out, pc)
+		f(pc)
 	}
-	s.mu.RUnlock()
-	sortCoverage(out)
-	return out
 }
 
-// SkeletonCoverage snapshots every bucket's skeleton tallies under
-// one read lock: Families counts the pair's slot families, Windows
-// its stored chains, CoveredSec the summed slot durations (disjoint
-// by the insert invariant). Same ordering as Coverage.
-func (s *Store) SkeletonCoverage() []PairCoverage {
+// SkeletonCoverage is Coverage over the skeleton families: Families
+// counts a pair's slot families, Windows its stored chains and
+// CoveredSec the summed slot durations (disjoint by the insert
+// invariant).
+func (s *Store) SkeletonCoverage(f func(PairCoverage)) {
 	s.mu.RLock()
-	out := make([]PairCoverage, 0, len(s.buckets))
+	defer s.mu.RUnlock()
 	for k, b := range s.buckets {
 		if len(b.skels) == 0 {
 			continue
@@ -593,21 +497,6 @@ func (s *Store) SkeletonCoverage() []PairCoverage {
 			pc.Windows += len(fe.Fam.Chains)
 			pc.CoveredSec += float64(fe.Window.Duration())
 		}
-		out = append(out, pc)
+		f(pc)
 	}
-	s.mu.RUnlock()
-	sortCoverage(out)
-	return out
-}
-
-func sortCoverage(out []PairCoverage) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Windows != out[j].Windows {
-			return out[i].Windows > out[j].Windows
-		}
-		if out[i].Key.Src != out[j].Key.Src {
-			return out[i].Key.Src < out[j].Key.Src
-		}
-		return out[i].Key.Tgt < out[j].Key.Tgt
-	})
 }

@@ -28,12 +28,12 @@ func entry(open, close temporal.TimeOfDay) *Entry {
 func TestStoreLookup(t *testing.T) {
 	s := NewStore(0)
 	k, pk := key(1, 2), pkey(0)
-	if _, ok := s.Lookup(k, pk, 100); ok {
+	if e, _ := s.Probe(k, pk, 100); e != nil {
 		t.Fatal("lookup on empty store hit")
 	}
 	// Three disjoint windows inserted out of order.
 	for _, iv := range [][2]temporal.TimeOfDay{{3600, 7200}, {0, 1800}, {10000, 20000}} {
-		if !s.Insert(k, pk, entry(iv[0], iv[1]), s.Epoch()) {
+		if !s.Insert(k, pk, entry(iv[0], iv[1])) {
 			t.Fatalf("insert [%v, %v) failed", iv[0], iv[1])
 		}
 	}
@@ -49,25 +49,26 @@ func TestStoreLookup(t *testing.T) {
 		{15000, 10000}, {19999.5, 10000}, {20000, -1}, {86399, -1},
 	}
 	for _, tc := range cases {
-		e, ok := s.Lookup(k, pk, tc.at)
+		e, _ := s.Probe(k, pk, tc.at)
+		ok := e != nil
 		if (tc.want < 0) == ok {
-			t.Fatalf("Lookup(%v): hit=%v, want hit=%v", tc.at, ok, tc.want >= 0)
+			t.Fatalf("Probe(%v): hit=%v, want hit=%v", tc.at, ok, tc.want >= 0)
 		}
 		if ok && e.Window.Open != tc.want {
-			t.Fatalf("Lookup(%v) window opens %v, want %v", tc.at, e.Window.Open, tc.want)
+			t.Fatalf("Probe(%v) window opens %v, want %v", tc.at, e.Window.Open, tc.want)
 		}
 	}
 	// Other point families and buckets stay separate.
-	if _, ok := s.Lookup(k, pkey(9), 100); ok {
+	if e, _ := s.Probe(k, pkey(9), 100); e != nil {
 		t.Fatal("different point key hit")
 	}
-	if _, ok := s.Lookup(key(2, 1), pk, 100); ok {
+	if e, _ := s.Probe(key(2, 1), pk, 100); e != nil {
 		t.Fatal("different bucket hit")
 	}
 	// Speed is part of the family identity.
 	pk2 := pk
 	pk2.Speed = 2.0
-	if _, ok := s.Lookup(k, pk2, 100); ok {
+	if e, _ := s.Probe(k, pk2, 100); e != nil {
 		t.Fatal("different speed hit")
 	}
 }
@@ -75,71 +76,24 @@ func TestStoreLookup(t *testing.T) {
 func TestStoreOverlapDropped(t *testing.T) {
 	s := NewStore(0)
 	k, pk := key(1, 2), pkey(0)
-	if !s.Insert(k, pk, entry(1000, 2000), s.Epoch()) {
+	if !s.Insert(k, pk, entry(1000, 2000)) {
 		t.Fatal("first insert failed")
 	}
 	for _, iv := range [][2]temporal.TimeOfDay{{1000, 2000}, {500, 1001}, {1999, 3000}, {1200, 1300}} {
-		if s.Insert(k, pk, entry(iv[0], iv[1]), s.Epoch()) {
+		if s.Insert(k, pk, entry(iv[0], iv[1])) {
 			t.Fatalf("overlapping [%v, %v) was stored", iv[0], iv[1])
 		}
 	}
 	// Abutting windows are disjoint and fine.
-	if !s.Insert(k, pk, entry(2000, 2500), s.Epoch()) || !s.Insert(k, pk, entry(500, 1000), s.Epoch()) {
+	if !s.Insert(k, pk, entry(2000, 2500)) || !s.Insert(k, pk, entry(500, 1000)) {
 		t.Fatal("abutting windows rejected")
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
 	// Degenerate windows are refused.
-	if s.Insert(k, pk, entry(3000, 3000), s.Epoch()) || s.Insert(k, pk, nil, s.Epoch()) {
+	if s.Insert(k, pk, entry(3000, 3000)) || s.Insert(k, pk, nil) {
 		t.Fatal("degenerate insert accepted")
-	}
-}
-
-func TestStoreInvalidateRange(t *testing.T) {
-	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
-	s.Insert(k, pk, entry(0, 1000), s.Epoch())
-	s.Insert(k, pk, entry(2000, 3000), s.Epoch())
-	s.Insert(k, pk, entry(5000, 6000), s.Epoch())
-	s.Insert(key(3, 4), pkey(7), entry(0, temporal.DaySeconds), s.Epoch()) // full-day (static)
-
-	// A range touching only the middle window (and the full-day one).
-	s.InvalidateRange(temporal.Interval{Open: 2500, Close: 2600})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after range invalidation", s.Len())
-	}
-	if _, ok := s.Lookup(k, pk, 2500); ok {
-		t.Fatal("overlapping window survived")
-	}
-	if _, ok := s.Lookup(k, pk, 500); !ok {
-		t.Fatal("non-overlapping window dropped")
-	}
-	if _, ok := s.Lookup(key(3, 4), pkey(7), 43200); ok {
-		t.Fatal("full-day window must be dropped by any range invalidation")
-	}
-
-	s.InvalidateAll()
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after InvalidateAll", s.Len())
-	}
-}
-
-func TestStoreEpochGuard(t *testing.T) {
-	s := NewStore(0)
-	k, pk := key(1, 2), pkey(0)
-	epoch := s.Epoch()
-	// An invalidation lands between the epoch capture and the insert —
-	// the insert must be discarded.
-	s.InvalidateRange(temporal.Interval{Open: 0, Close: 1})
-	if s.Insert(k, pk, entry(1000, 2000), epoch) {
-		t.Fatal("stale insert accepted after invalidation")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
-	}
-	if !s.Insert(k, pk, entry(1000, 2000), s.Epoch()) {
-		t.Fatal("fresh insert rejected")
 	}
 }
 
@@ -149,13 +103,13 @@ func TestStoreEviction(t *testing.T) {
 	// but never the one just written.
 	for i := 0; i < 5; i++ {
 		k := key(i, i+1)
-		if !s.Insert(k, pkey(0), entry(0, 1000), s.Epoch()) {
+		if !s.Insert(k, pkey(0), entry(0, 1000)) {
 			t.Fatalf("insert %d failed", i)
 		}
 		if s.Len() > 4 {
 			t.Fatalf("Len = %d beyond capacity", s.Len())
 		}
-		if _, ok := s.Lookup(k, pkey(0), 500); !ok {
+		if e, _ := s.Probe(k, pkey(0), 500); e == nil {
 			t.Fatalf("entry %d evicted immediately after insert", i)
 		}
 	}
@@ -164,21 +118,21 @@ func TestStoreEviction(t *testing.T) {
 	k := key(9, 9)
 	for i := 0; i < 6; i++ {
 		open := temporal.TimeOfDay(i * 1000)
-		if !hot.Insert(k, pkey(0), entry(open, open+500), hot.Epoch()) {
+		if !hot.Insert(k, pkey(0), entry(open, open+500)) {
 			t.Fatalf("hot insert %d failed", i)
 		}
 		if hot.Len() > 2 {
 			t.Fatalf("hot Len = %d beyond capacity", hot.Len())
 		}
-		if _, ok := hot.Lookup(k, pkey(0), open+100); !ok {
+		if e, _ := hot.Probe(k, pkey(0), open+100); e == nil {
 			t.Fatalf("hot entry %d evicted immediately after insert", i)
 		}
 	}
 }
 
 func TestStoreConcurrency(t *testing.T) {
-	// Smoke the lock discipline: concurrent inserts, lookups and
-	// invalidations over a small store (meaningful under -race).
+	// Smoke the lock discipline: concurrent inserts, probes and
+	// capacity evictions over a small store (meaningful under -race).
 	s := NewStore(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -188,11 +142,8 @@ func TestStoreConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := key(w%3, i%5)
 				open := temporal.TimeOfDay((i % 20) * 4000)
-				s.Insert(k, pkey(float64(w)), entry(open, open+3000), s.Epoch())
-				s.Lookup(k, pkey(float64(w)), open+1500)
-				if i%50 == 0 {
-					s.InvalidateRange(temporal.Interval{Open: open, Close: open + 1})
-				}
+				s.Insert(k, pkey(float64(w)), entry(open, open+3000))
+				s.Probe(k, pkey(float64(w)), open+1500)
 			}
 		}(w)
 	}
@@ -207,20 +158,16 @@ func TestStoreSizeAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 3; j++ {
 			open := temporal.TimeOfDay(j * 2000)
-			s.Insert(key(i, i), pkey(0), entry(open, open+1000), s.Epoch())
+			s.Insert(key(i, i), pkey(0), entry(open, open+1000))
 		}
 	}
 	if s.Len() != 30 {
 		t.Fatalf("Len = %d, want 30", s.Len())
 	}
-	s.InvalidateRange(temporal.Interval{Open: 0, Close: 500})
-	if s.Len() != 20 {
-		t.Fatalf("Len = %d after invalidating one window per bucket, want 20", s.Len())
-	}
 	// Fill far past a tiny capacity and confirm the bound holds.
 	tiny := NewStore(3)
 	for i := 0; i < 50; i++ {
-		tiny.Insert(key(i, 0), pkey(0), entry(0, 1000), tiny.Epoch())
+		tiny.Insert(key(i, 0), pkey(0), entry(0, 1000))
 		if got := tiny.Len(); got > 3 {
 			t.Fatalf("tiny Len = %d beyond capacity", got)
 		}
@@ -235,7 +182,7 @@ func TestStoreProbeMissKinds(t *testing.T) {
 	if e, mk := s.Probe(k, pk, 100); e != nil || mk != MissFamilyAbsent {
 		t.Fatalf("empty store Probe = (%v, %v), want (nil, MissFamilyAbsent)", e, mk)
 	}
-	if !s.Insert(k, pk, entry(3600, 7200), s.Epoch()) {
+	if !s.Insert(k, pk, entry(3600, 7200)) {
 		t.Fatal("insert failed")
 	}
 
@@ -255,9 +202,5 @@ func TestStoreProbeMissKinds(t *testing.T) {
 	// Different bucket entirely.
 	if e, mk := s.Probe(key(2, 1), pk, 5000); e != nil || mk != MissFamilyAbsent {
 		t.Fatalf("Probe(other bucket) = (%v, %v), want (nil, MissFamilyAbsent)", e, mk)
-	}
-	// Lookup stays the thin wrapper.
-	if _, ok := s.Lookup(k, pk, 5000); !ok {
-		t.Fatal("Lookup lost the hit")
 	}
 }
