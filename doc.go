@@ -106,11 +106,35 @@
 // counters fall (about 3× fewer pops on the mall). α is shrunk by a
 // relative margin of 1e-9: with α exactly 1, doors on one line make a
 // predecessor's key equal its successor's in real numbers, and float
-// rounding can invert the two. Options.NoGoalBound restores Algorithm
-// 1's order, which the paper's figures measure. Every other search —
-// RouteMany, RouteManyTo, skeleton builds, the waiting search,
-// SingleSource, and Route under the SinglePartitionExpansion ablation,
-// whose answers depend on expansion order — keeps the plain order.
+// rounding can invert the two.
+//
+// BuildSkeletonFamily is goal-directed too, toward a rectangle: each
+// entry search keys a door by its label plus α · (XY distance from the
+// door to the target partition's rectangle + c · |door floor −
+// rectangle floor|). The distance to a rectangle changes by at most
+// the XY distance between two doors, so this bound is consistent by
+// the same argument, and every door settles with the label and the
+// predecessor it gets in Algorithm 1's order. A settled door's label
+// and prev link are final, so an entry search stops as soon as every
+// enter door of the target partition that is open in the slot has
+// settled: nothing settled later can add or change a chain. An enter
+// door the search cannot reach (only private or one-way approaches)
+// leaves it to exhaust the heap, and a stairwell target, whose doors
+// span floors, keeps the plain order. On the mall a build pops about a
+// third of the doors it did when it ran to exhaustion.
+// Options.NoGoalBound restores Algorithm 1's order, and builds that run
+// to exhaustion; the paper's figures measure that order. Every other
+// search — RouteMany, RouteManyTo, the waiting search, SingleSource,
+// and Route under the SinglePartitionExpansion ablation, whose answers
+// depend on expansion order — keeps the plain order.
+//
+// Every relaxation reads its leg by index: dmat.Build lays out one door
+// table that places each door in the matrix of every partition it
+// touches, with a bit for whether the door leads out to, and in from,
+// a non-private partition. A relaxation reads the anchor's matrix row
+// once, each door's column and privacy bit through the table, and
+// walks a door's arcs only for the endpoints' exemption from the
+// privacy rule.
 //
 // The working set is flat: per-door label and parent slices, epoch
 // stamps for the seen, settled and visited marks, and a binary heap
@@ -186,7 +210,8 @@
 // point-dependent first and last legs are stripped — keyed by (source
 // partition, target partition, checkpoint slot). The pool's hot-pair
 // table (the top pairs /statsz serves) decides: a build costs one
-// search per entry door of the source partition, so a pair queried
+// search per entry door of the source partition, each run until every
+// enter door of the target partition has settled, so a pair queried
 // only once never pays for one, and a pair's first miss only enters it
 // into the table. The table outlives schedule swaps, so after a swap a
 // known pair rebuilds its family on its first miss. A later query
@@ -198,11 +223,13 @@
 // bit-identical engine arithmetic and every door re-checked against
 // the slot's schedule snapshot.
 //
-// Soundness is certify-or-refuse. A family is exhaustive, not a
-// sample: it holds, for EVERY open entry door of the source partition,
-// the best frozen-topology chain to every reachable anchor door of the
-// target partition (within a checkpoint slot every door's state is
-// constant, so slot-start openness is openness throughout), and
+// Soundness is certify-or-refuse. A family is exhaustive over door
+// choices, not a sample: it holds, for EVERY open entry door of the
+// source partition, the best frozen-topology chain to every reachable
+// anchor door of the target partition (within a checkpoint slot every
+// door's state is constant, so slot-start openness is openness
+// throughout; an entry search stops early only once every anchor has
+// settled, so stopping drops no chain), and
 // composition minimises first + chain + last over all of them — which
 // is exactly the optimum a fresh search would find, whatever the
 // endpoint positions. When the composed answer cannot be certified

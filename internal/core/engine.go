@@ -57,10 +57,15 @@ type Options struct {
 	// (exact door-graph Dijkstra, Lu et al. 2012); ablation A6 measures
 	// the difference. See DESIGN.md interpretation note 8.
 	SinglePartitionExpansion bool
-	// NoGoalBound restores Algorithm 1's pop order in Route. By default
-	// Route keys its heap by the walked distance plus a consistent
-	// lower bound on the distance still to walk (dmat.Bound), so it
-	// settles far fewer doors; the answers are identical, only the
+	// NoGoalBound restores Algorithm 1's pop order in Route and in
+	// skeleton builds, and builds whose entry searches run to
+	// exhaustion. By default Route keys its heap by the walked distance
+	// plus a consistent lower bound on the distance still to walk
+	// (dmat.Bound), a build keys it by the walked distance plus the
+	// bound to the target partition's rectangle (except for a stairwell
+	// target) and stops each entry search once every enter door of the
+	// target partition open in its slot has settled, so both settle far
+	// fewer doors; the answers and chains are identical, only the
 	// effort counters change. The paper's figures measure Algorithm 1,
 	// and ablation A7 measures the difference. The other searches, and
 	// Route under SinglePartitionExpansion, whose answers depend on
@@ -171,7 +176,8 @@ func (e *Engine) Route(q Query) (*Path, SearchStats, error) {
 	e.begin(t0, speed, true)
 	s := search{targets: toTarget, root: q.Source, rootPart: srcPart, target: q.Target, tgtPart: tgtPart,
 		cross: e.cross, prune: e.pruner != nil,
-		goal: !e.opts.NoGoalBound && !e.opts.SinglePartitionExpansion, bound: e.g.DM().Bound()}
+		goal:     !e.opts.NoGoalBound && !e.opts.SinglePartitionExpansion,
+		goalRect: pointRect(q.Target), bound: e.g.DM().Bound()}
 	if !e.run(&s, &stats) {
 		e.finishStats(&stats)
 		return nil, stats, ErrNoRoute

@@ -16,10 +16,10 @@ import (
 // front — where it starts, what it looks for, which way it walks arcs
 // and how it crosses doors. The heap orders labels: walked metres for
 // the ITSPQ methods, crossing instants for the waiting search; Route
-// adds a lower bound on the metres still to walk (search.goal). The
-// kernel applies the target policy per popped door and partition
-// entered, and picks the door list and door crossing per partition
-// entered, so one relaxation loop serves every caller.
+// and skeleton builds add a lower bound on the metres still to walk
+// (search.goal). The kernel applies the target policy per popped door
+// and partition entered, and picks the door list and door crossing per
+// partition entered, so one relaxation loop serves every caller.
 //
 // Ties resolve one way in every search. Among equal labels a handle,
 // the virtual target and a shared run's goal keep the lowest
@@ -38,8 +38,11 @@ const (
 	// and stops once the frontier has passed every entry.
 	toGoals
 	// toAnchors records every door entering the target partition
-	// (searchState.anchors) and runs until the heap is exhausted; with
-	// no target partition it records nothing (SingleSource).
+	// (searchState.anchors). A skeleton build stops once every enter
+	// door of the target partition that can be crossed has settled
+	// (searchState.anchorsLeft); otherwise the search runs until the
+	// heap is exhausted, and with no target partition it records
+	// nothing (SingleSource).
 	toAnchors
 )
 
@@ -78,10 +81,19 @@ type search struct {
 	// order among the ties its opening instants make.
 	everyDoor bool
 	// goal keys the heap by a door's label plus bound.Dist from the
-	// door to the target, and the target node by its label: Route's
-	// goal-directed order. Every label stays a walked distance.
-	goal  bool
-	bound dmat.Bound
+	// door to the nearest point of goalRect, and the target node by its
+	// label: the goal-directed order of Route, whose goalRect is its
+	// target point, and of a skeleton build, whose goalRect is the
+	// target partition's. Every label stays a walked distance.
+	goal     bool
+	goalRect geom.Rect
+	bound    dmat.Bound
+}
+
+// pointRect is the rectangle holding only p: a goal-directed Route's
+// goal, whose bound.Dist from any door equals that to p.
+func pointRect(p geom.Point) geom.Rect {
+	return geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y, Floor: p.Floor}
 }
 
 // doorCrossing is the kernel's per-door hook: the label at which a
@@ -141,6 +153,11 @@ type searchState struct {
 	goalHead []int32 // per partition: its first goal, -1 for none
 	pending  int     // goals not yet done
 	anchors  []model.DoorID
+	// anchorsLeft counts the enter doors of a skeleton build's target
+	// partition, open in its slot, that have not settled yet; the
+	// search stops when it reaches zero. reset zeroes it, and zero
+	// never stops a search.
+	anchorsLeft int
 	// A skeleton build's sorted entry doors and the chains found so far.
 	entries []model.DoorID
 	chains  []*Skeleton
@@ -168,6 +185,7 @@ func newSearchState(v *model.Venue) *searchState {
 func (st *searchState) reset() {
 	st.heap.Reset()
 	st.touched = 0
+	st.anchorsLeft = 0
 	if st.epoch++; st.epoch == 0 {
 		clear(st.seen)
 		clear(st.settled)
@@ -257,8 +275,9 @@ func (e *Engine) begin(t0 temporal.TimeOfDay, speed float64, withTarget bool) {
 }
 
 // run is the kernel loop. It reports whether the search met its end
-// condition: the target node popped (toTarget) or every goal done
-// (toGoals); otherwise the heap ran out, or held only ∞ entries.
+// condition: the target node popped (toTarget), every goal done
+// (toGoals) or a build's last anchor settled (toAnchors); otherwise the
+// heap ran out, or held only ∞ entries.
 func (e *Engine) run(s *search, stats *SearchStats) bool {
 	st := e.st
 	rootH := int32(e.v.DoorCount())
@@ -293,7 +312,8 @@ func (e *Engine) run(s *search, stats *SearchStats) bool {
 		// was reached through, resolved per arc so one-way doors hold
 		// (Algorithm 1 line 27).
 		from := st.prevPart[h]
-		for _, a := range e.v.Door(model.DoorID(h)).Arcs {
+		arcs := e.v.Door(model.DoorID(h)).Arcs
+		for _, a := range arcs {
 			near, far := a.From, a.To
 			if s.reverse {
 				near, far = far, near
@@ -302,7 +322,25 @@ func (e *Engine) run(s *search, stats *SearchStats) bool {
 				e.enter(s, stats, far, model.DoorID(h), h, base)
 			}
 		}
+		// A settled door's label and prev link are final, so once the
+		// last enter door of a build's target partition has settled, no
+		// later pop can add or change a chain.
+		if st.anchorsLeft > 0 && entersPart(arcs, s.tgtPart) {
+			if st.anchorsLeft--; st.anchorsLeft == 0 {
+				return true
+			}
+		}
 	}
+}
+
+// entersPart reports whether one of a door's arcs enters p.
+func entersPart(arcs []model.Arc, p model.PartitionID) bool {
+	for _, a := range arcs {
+		if a.To == p {
+			return true
+		}
+	}
+	return false
 }
 
 // enter handles partition w reached from settled handle h at distance
@@ -381,9 +419,14 @@ func (e *Engine) pointLeg(s *search, w model.PartitionID, anchor model.DoorID, p
 // arrival window fits one checkpoint slot iterates the snapshot's
 // reduced leave-door list instead, pruning closed doors up front and
 // skipping the per-door crossing (exactly equivalent: listed doors are
-// open throughout the slot).
+// open throughout the slot). Every listed door is a door of w, so the
+// distance matrices' door table places it in w's matrix: the anchor's
+// row is read once, and each door's column and privacy bits through
+// the table.
 func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, anchor model.DoorID, h int32, base float64) {
 	st := e.st
+	dm := e.g.DM()
+	m := dm.Matrix(w)
 	doors, cross := e.v.LeaveDoors(w), s.cross
 	if s.reverse {
 		doors = e.v.EnterDoors(w)
@@ -392,7 +435,7 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 		// Bound the longest possible leg inside w: the largest DM entry
 		// covers door-to-door legs; the rectangle diagonal covers the
 		// root-point legs of the first expansion.
-		maxLeg := e.g.DM().Matrix(w).MaxEntry()
+		maxLeg := m.MaxEntry()
 		if anchor == model.NoDoor {
 			r := e.v.Partition(w).Rect
 			if diag := math.Hypot(r.Width(), r.Height()); diag > maxLeg {
@@ -403,15 +446,29 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 			doors, cross = pruned, nil
 		}
 	}
+	// row holds the anchor's door-to-door legs; nil for the root point's
+	// expansion and under the NoDistanceMatrix ablation.
+	var row []float64
+	if anchor != model.NoDoor && !e.opts.NoDistanceMatrix {
+		sl, _ := dm.Slot(anchor, w)
+		row = m.Row(sl.Row)
+	}
 	for _, dj := range doors {
 		hj := int32(dj)
-		if st.settled[hj] == st.epoch || (!s.everyDoor && !e.useful(s, dj, w)) {
+		if st.settled[hj] == st.epoch {
+			continue
+		}
+		sl, _ := dm.Slot(dj, w)
+		if !s.everyDoor && !e.useful(s, dj, w, sl) {
 			continue
 		}
 		var leg float64
-		if anchor == model.NoDoor {
-			leg = e.g.DM().PointToDoor(w, s.root, dj)
-		} else {
+		switch {
+		case row != nil:
+			leg = row[sl.Row]
+		case anchor == model.NoDoor:
+			leg = dm.PointToDoor(w, s.root, dj)
+		default:
 			leg = e.legDist(w, anchor, dj)
 		}
 		if math.IsInf(leg, 1) {
@@ -429,23 +486,30 @@ func (e *Engine) relax(s *search, stats *SearchStats, w model.PartitionID, ancho
 		if st.better(hj, label, h) {
 			key := label
 			if s.goal {
-				key += s.bound.Dist(e.v.Door(dj).Pos, s.target)
+				pos := e.v.Door(dj).Pos
+				key += s.bound.Dist(pos, s.goalRect.ClampPoint(pos))
 			}
 			st.improve(hj, label, key, h, w)
 		}
 	}
 }
 
-// useful is the early privacy prune (line 28): door d of w is worth
-// relaxing only if some partition it leads to from w — leads from, in
-// a reverse run — is public or an endpoint's.
-func (e *Engine) useful(s *search, d model.DoorID, w model.PartitionID) bool {
+// useful is the early privacy prune (line 28): door d of w, placed in
+// w's matrix at sl, is worth relaxing only if some partition it leads
+// to from w — leads from, in a reverse run — is public or an
+// endpoint's. The slot's bit answers the public case; only a door whose
+// every such partition is private walks its arcs, for the endpoints'
+// exemption.
+func (e *Engine) useful(s *search, d model.DoorID, w model.PartitionID, sl dmat.Slot) bool {
+	if (!s.reverse && sl.Out) || (s.reverse && sl.In) {
+		return true
+	}
 	for _, a := range e.v.Door(d).Arcs {
 		near, far := a.From, a.To
 		if s.reverse {
 			near, far = far, near
 		}
-		if near == w && (far == s.rootPart || far == s.tgtPart || !e.v.Partition(far).Kind.IsPrivate()) {
+		if near == w && (far == s.rootPart || far == s.tgtPart) {
 			return true
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"indoorpath/internal/geom"
 	"indoorpath/internal/itgraph"
 	"indoorpath/internal/model"
+	"indoorpath/internal/synth"
 	"indoorpath/internal/temporal"
 )
 
@@ -168,6 +169,130 @@ func TestGoalBoundMovesNoAnswer(t *testing.T) {
 	}
 }
 
+// famPair is one skeleton build's input.
+type famPair struct {
+	src, tgt model.PartitionID
+	at       temporal.TimeOfDay
+}
+
+// queryPairs returns the endpoint partitions and departure of each
+// query whose endpoints lie in two different partitions of v.
+func queryPairs(v *model.Venue, qs []Query) []famPair {
+	var out []famPair
+	for _, q := range qs {
+		sp, ok1 := v.Locate(q.Source)
+		tp, ok2 := v.Locate(q.Target)
+		if ok1 && ok2 && sp != tp {
+			out = append(out, famPair{sp, tp, q.At})
+		}
+	}
+	return out
+}
+
+// TestFamilyBuildMovesNoChain: a skeleton build that orders its entry
+// searches toward the target partition's rectangle and stops each at
+// its last anchor returns exactly the family of a build in Algorithm
+// 1's order run to exhaustion (NoGoalBound), for every method, on the
+// mall, both grid generators, the hospital and the office. The inputs
+// must meet the cases that keep a search going: a stairwell target
+// (plain order), an enter door closed in the slot (not an anchor that
+// can exist) and one an entry search cannot reach (the search exhausts
+// its heap).
+func TestFamilyBuildMovesNoChain(t *testing.T) {
+	var families, stairwell, closed, unreachable int
+	check := func(label string, g *itgraph.Graph, pairs []famPair) {
+		t.Helper()
+		v := g.Venue()
+		for _, m := range manyMethods {
+			goal := NewEngine(g, Options{Method: m})
+			plain := NewEngine(g, Options{Method: m, NoGoalBound: true})
+			for i, p := range pairs {
+				fam := goal.BuildSkeletonFamily(p.src, p.tgt, p.at)
+				want := plain.BuildSkeletonFamily(p.src, p.tgt, p.at)
+				if !reflect.DeepEqual(fam, want) {
+					t.Fatalf("%s %v pair %d (%d→%d at %v): goal-directed family %+v, plain %+v",
+						label, m, i, p.src, p.tgt, p.at, fam, want)
+				}
+				if want == nil {
+					continue
+				}
+				families++
+				if tp := v.Partition(p.tgt); tp.TopFloor != tp.Rect.Floor {
+					stairwell++
+				}
+				open := 0
+				for _, d := range v.EnterDoors(p.tgt) {
+					if want.Slot == SkeletonStaticSlot || v.Door(d).OpenAt(want.Window.Open) {
+						open++
+					}
+				}
+				if open < len(v.EnterDoors(p.tgt)) {
+					closed++
+				}
+				// Chains ascend by entry door: an entry with fewer chains
+				// than open enter doors could not reach one of them.
+				for lo := 0; lo < len(want.Chains); {
+					hi := lo
+					for hi < len(want.Chains) && want.Chains[hi].Entry == want.Chains[lo].Entry {
+						hi++
+					}
+					if hi-lo < open {
+						unreachable++
+					}
+					lo = hi
+				}
+			}
+		}
+	}
+
+	g, qs := mallQueries(t, 620)
+	pairs := queryPairs(g.Venue(), qs)
+	if len(pairs) < 600 {
+		t.Fatalf("only %d mall pairs", len(pairs))
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, p := range g.Venue().Partitions() {
+		if p.TopFloor != p.Rect.Floor { // every stairwell as a target
+			pairs = append(pairs, famPair{pairs[rng.Intn(600)].src, p.ID, temporal.TimeOfDay(rng.Intn(86400))})
+		}
+	}
+	check("mall", g, pairs)
+
+	for trial := 0; trial < 150; trial++ {
+		rows, cols := 3+rng.Intn(4), 3+rng.Intn(4)
+		w, h := float64(cols)*10, float64(rows)*10
+		qs = qs[:0]
+		for i := 0; i < 12; i++ {
+			qs = append(qs, Query{
+				Source: geom.Pt(rng.Float64()*w, rng.Float64()*h, 0),
+				Target: geom.Pt(rng.Float64()*w, rng.Float64()*h, 0),
+				At:     temporal.TimeOfDay(rng.Intn(86400)),
+			})
+		}
+		for _, v := range []*model.Venue{randomVenue(t, rng, rows, cols), manyGridVenue(t, rng, rows, cols)} {
+			check(fmt.Sprintf("%s trial %d", v.Name, trial), itgraph.MustNew(v), queryPairs(v, qs))
+		}
+	}
+
+	for _, v := range []*model.Venue{synth.Hospital(), synth.Office()} {
+		pairs = pairs[:0]
+		for src := range v.Partitions() {
+			for tgt := range v.Partitions() {
+				for at := temporal.TimeOfDay(0); at < temporal.DaySeconds; at += 5400 {
+					pairs = append(pairs, famPair{model.PartitionID(src), model.PartitionID(tgt), at + temporal.TimeOfDay(rng.Intn(600))})
+				}
+			}
+		}
+		check(v.Name, itgraph.MustNew(v), pairs)
+	}
+	t.Logf("%d families: %d stairwell targets, %d with a closed enter door, %d entries short of an anchor",
+		families, stairwell, closed, unreachable)
+	if stairwell == 0 || closed == 0 || unreachable == 0 {
+		t.Fatalf("coverage: %d stairwell targets, %d families with a closed enter door, %d entries short of an anchor; want each > 0",
+			stairwell, closed, unreachable)
+	}
+}
+
 // meanPops is the mean heap pops of e's Route over qs.
 func meanPops(e *Engine, qs []Query) float64 {
 	pops := 0
@@ -178,12 +303,26 @@ func meanPops(e *Engine, qs []Query) float64 {
 	return float64(pops) / float64(len(qs))
 }
 
+// meanBuildPops is the mean heap pops of e's skeleton builds over
+// pairs.
+func meanBuildPops(e *Engine, pairs []famPair) float64 {
+	pops := 0
+	for _, p := range pairs {
+		var st SearchStats
+		e.buildFamily(p.src, p.tgt, p.at, &st)
+		pops += st.Pops
+	}
+	return float64(pops) / float64(len(pairs))
+}
+
 // BenchmarkEngineSearch times one Route plus one skeleton-family build
 // per op on the mall preset, the work an uncached answer costs. It
 // self-checks the allocation contract of the search kernel first (see
-// searchAllocs), and that Route's goal bound at least halves its mean
-// heap pops against Algorithm 1's order on 200 mall queries, so a
-// regression of either fails the bench run.
+// searchAllocs), and that the goal bound at least halves the mean heap
+// pops against Algorithm 1's order on 200 mall queries, both of Route
+// and of a family build for each query's partition pair and departure
+// (a build also stops at its last anchor), so a regression of any of
+// them fails the bench run.
 func BenchmarkEngineSearch(b *testing.B) {
 	g, qs := mallQueries(b, 200)
 	g.Snapshots().BuildAll()
@@ -192,9 +331,16 @@ func BenchmarkEngineSearch(b *testing.B) {
 			e := NewEngine(g, Options{Method: m})
 			q, sp, tp := foundQuery(b, e, qs)
 			searchAllocs(b, e, q, sp, tp)
-			goal, plain := meanPops(e, qs), meanPops(NewEngine(g, Options{Method: m, NoGoalBound: true}), qs)
+			alg1 := NewEngine(g, Options{Method: m, NoGoalBound: true})
+			goal, plain := meanPops(e, qs), meanPops(alg1, qs)
 			if goal > plain/2 {
 				b.Fatalf("%v: Route pops %.1f per search, Algorithm 1's order %.1f; want at most half", m, goal, plain)
+			}
+			pairs := queryPairs(g.Venue(), qs)
+			build, plainBuild := meanBuildPops(e, pairs), meanBuildPops(alg1, pairs)
+			if build > plainBuild/2 {
+				b.Fatalf("%v: family builds pop %.1f per build, Algorithm 1's order to exhaustion %.1f; want at most half",
+					m, build, plainBuild)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -204,6 +350,8 @@ func BenchmarkEngineSearch(b *testing.B) {
 			}
 			b.ReportMetric(goal, "route-pops")
 			b.ReportMetric(plain, "alg1-route-pops")
+			b.ReportMetric(build, "build-pops")
+			b.ReportMetric(plainBuild, "alg1-build-pops")
 		})
 	}
 }

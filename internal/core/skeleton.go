@@ -68,8 +68,16 @@ type SkeletonFamily struct {
 // checkpoint slot containing at (the whole day for MethodStatic). It
 // runs one frozen-topology search per usable entry door of srcPart,
 // ascending by door ID, each seeded at the door entered from srcPart at
-// distance zero and run to exhaustion: the best anchor for a concrete
-// query depends on its target point, so every anchor's chain is kept.
+// distance zero. The best anchor for a concrete query depends on its
+// target point, so every anchor's chain is kept, and a search stops
+// only once every enter door of tgtPart open in the slot has settled:
+// a settled door's label and chain are final. Until then it pops doors
+// by label plus a lower bound on the distance to tgtPart's rectangle,
+// which is consistent, so every door settles with the label and the
+// predecessor Algorithm 1's order gives it (see doc.go). A stairwell
+// target, whose doors span floors, keeps the plain order, and under
+// NoGoalBound every search runs in the plain order to exhaustion. An
+// enter door the search cannot reach leaves it to exhaust the heap.
 // The searches are the kernel's, so they mirror Route exactly —
 // prevPart-threaded arcs, the privacy rule with srcPart/tgtPart exempt,
 // no expansion through the target partition, the engine's own leg
@@ -83,8 +91,15 @@ type SkeletonFamily struct {
 // The caller must hold the engine exclusively (the usual checked-out
 // discipline). The build runs on the engine's search state, so it
 // allocates only the family and its chains; the engine stays ready
-// for further searches.
+// for further searches. A build reports no counters.
 func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temporal.TimeOfDay) *SkeletonFamily {
+	var stats SearchStats
+	return e.buildFamily(srcPart, tgtPart, at, &stats)
+}
+
+// buildFamily is BuildSkeletonFamily, adding its searches' effort to
+// stats.
+func (e *Engine) buildFamily(srcPart, tgtPart model.PartitionID, at temporal.TimeOfDay, stats *SearchStats) *SkeletonFamily {
 	if srcPart == tgtPart || e.opts.SinglePartitionExpansion {
 		return nil
 	}
@@ -97,19 +112,37 @@ func (e *Engine) BuildSkeletonFamily(srcPart, tgtPart model.PartitionID, at temp
 		e.frozen = slotOpen{v: e.v, start: window.Open}
 		s.cross = &e.frozen
 	}
+	// The anchors that can exist: tgtPart's enter doors open in the
+	// slot (a settled door has been crossed, so it is open). Zero, the
+	// count under NoGoalBound, runs every search to exhaustion.
+	anchors := 0
+	if !e.opts.NoGoalBound {
+		for _, d := range e.v.EnterDoors(tgtPart) {
+			if s.cross == nil || e.v.Door(d).OpenAt(window.Open) {
+				anchors++
+			}
+		}
+		if anchors == 0 {
+			return nil
+		}
+		if tp := e.v.Partition(tgtPart); tp.TopFloor == tp.Rect.Floor {
+			s.goal, s.goalRect, s.bound = true, tp.Rect, e.g.DM().Bound()
+		}
+	}
 	st := e.state()
 	rootH := int32(e.v.DoorCount())
-	var stats SearchStats // a build reports no counters
 	st.entries = append(st.entries[:0], e.v.LeaveDoors(srcPart)...)
 	slices.Sort(st.entries)
 	for _, a := range st.entries {
-		if (s.cross != nil && !e.v.Door(a).OpenAt(window.Open)) || !e.useful(&s, a, srcPart) {
+		sl, _ := e.g.DM().Slot(a, srcPart)
+		if (s.cross != nil && !e.v.Door(a).OpenAt(window.Open)) || !e.useful(&s, a, srcPart, sl) {
 			continue
 		}
 		st.reset()
 		st.anchors = st.anchors[:0]
+		st.anchorsLeft = anchors
 		st.improve(int32(a), 0, 0, rootH, srcPart)
-		e.run(&s, &stats)
+		e.run(&s, stats)
 		slices.Sort(st.anchors)
 		for _, b := range st.anchors {
 			n := st.chainLen(int32(b), rootH)

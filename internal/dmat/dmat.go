@@ -23,18 +23,19 @@ package dmat
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"indoorpath/internal/geom"
 	"indoorpath/internal/model"
 )
 
 // Matrix is the DM of a single partition: symmetric door-to-door
-// distances over the doors attached to that partition. The paper sets DM
-// to null for single-door partitions; here a 1x1 zero matrix plays that
-// role.
+// distances over the doors attached to that partition, in the venue's
+// P2D order, which ascends by door ID (model.Builder attaches doors in
+// ID order). The paper sets DM to null for single-door partitions;
+// here a 1x1 zero matrix plays that role.
 type Matrix struct {
 	doors []model.DoorID
-	idx   map[model.DoorID]int
 	d     []float64 // row-major n x n
 	max   float64   // largest entry
 }
@@ -49,23 +50,29 @@ func (m *Matrix) Doors() []model.DoorID { return m.doors }
 // Size returns the number of doors.
 func (m *Matrix) Size() int { return len(m.doors) }
 
+// Row returns row i of the matrix: the distances from Doors()[i] to
+// every door, in Doors() order (shared; do not mutate).
+func (m *Matrix) Row(i int32) []float64 {
+	n := int32(len(m.doors))
+	return m.d[i*n : i*n+n]
+}
+
 // Dist returns the intra-partition distance between doors a and b. ok is
 // false when either door is not attached to the partition.
 func (m *Matrix) Dist(a, b model.DoorID) (float64, bool) {
-	i, ok := m.idx[a]
+	i, ok := slices.BinarySearch(m.doors, a)
 	if !ok {
 		return 0, false
 	}
-	j, ok := m.idx[b]
+	j, ok := slices.BinarySearch(m.doors, b)
 	if !ok {
 		return 0, false
 	}
 	return m.d[i*len(m.doors)+j], true
 }
 
-// set stores a symmetric entry.
-func (m *Matrix) set(a, b model.DoorID, dist float64) {
-	i, j := m.idx[a], m.idx[b]
+// set stores the symmetric entry of the doors at positions i and j.
+func (m *Matrix) set(i, j int, dist float64) {
 	n := len(m.doors)
 	m.d[i*n+j] = dist
 	m.d[j*n+i] = dist
@@ -76,13 +83,29 @@ func (m *Matrix) set(a, b model.DoorID, dist float64) {
 
 // MemoryBytes estimates the matrix footprint, reported by graph stats.
 func (m *Matrix) MemoryBytes() int {
-	return len(m.d)*8 + len(m.doors)*4 + len(m.idx)*12
+	return len(m.d)*8 + len(m.doors)*4
 }
 
-// Set holds one Matrix per partition of a venue.
+// Slot places a door in the matrix of one partition it is attached to:
+// the door's row there, and two bits for the search's early privacy
+// prune.
+type Slot struct {
+	Part model.PartitionID
+	Row  int32
+	// Out is set when an arc of the door leaves Part into a non-private
+	// partition, In when an arc enters Part from one.
+	Out, In bool
+}
+
+// Set holds one Matrix per partition of a venue, and the door table
+// that places every door in the matrices of the partitions it touches.
 type Set struct {
 	venue *model.Venue
 	mats  []Matrix
+	// slots lists the doors' Slots door by door, ascending by partition
+	// within a door: door d's are slots[first[d]:first[d+1]].
+	slots []Slot
+	first []int32
 	bound Bound
 }
 
@@ -154,19 +177,29 @@ func (f *boundFit) bound() Bound {
 }
 
 // Build computes distance matrices for every partition of the venue,
-// and their Bound.
+// the door table and their Bound.
 func Build(v *model.Venue) (*Set, error) {
-	s := &Set{venue: v, mats: make([]Matrix, v.PartitionCount())}
+	s := &Set{venue: v, mats: make([]Matrix, v.PartitionCount()), first: make([]int32, v.DoorCount()+1)}
+	for p := range s.mats {
+		for _, d := range v.DoorsOf(model.PartitionID(p)) {
+			s.first[d+1]++
+		}
+	}
+	for d := 1; d < len(s.first); d++ {
+		s.first[d] += s.first[d-1]
+	}
+	s.slots = make([]Slot, s.first[len(s.first)-1])
+	filled := make([]int32, v.DoorCount())
 	fit := boundFit{ratio: 1}
-	for p := 0; p < v.PartitionCount(); p++ {
+	for p := range s.mats {
 		pid := model.PartitionID(p)
 		doors := v.DoorsOf(pid)
+		for i, d := range doors {
+			s.slots[s.first[d]+filled[d]] = Slot{Part: pid, Row: int32(i)}
+			filled[d]++
+		}
 		m := &s.mats[p]
 		m.doors = doors
-		m.idx = make(map[model.DoorID]int, len(doors))
-		for i, d := range doors {
-			m.idx[d] = i
-		}
 		m.d = make([]float64, len(doors)*len(doors))
 		for i := 0; i < len(doors); i++ {
 			pi := v.Door(doors[i]).Pos
@@ -177,8 +210,21 @@ func Build(v *model.Venue) (*Set, error) {
 				if err != nil {
 					return nil, err
 				}
-				m.set(doors[i], doors[j], dist)
+				m.set(i, j, dist)
 				fit.add(dist, xy, pi.Floor-pj.Floor)
+			}
+		}
+	}
+	for d, door := range v.Doors() {
+		sl := s.slots[s.first[d]:s.first[d+1]]
+		for _, a := range door.Arcs {
+			for k := range sl {
+				switch sl[k].Part {
+				case a.From:
+					sl[k].Out = sl[k].Out || !v.Partition(a.To).Kind.IsPrivate()
+				case a.To:
+					sl[k].In = sl[k].In || !v.Partition(a.From).Kind.IsPrivate()
+				}
 			}
 		}
 	}
@@ -218,23 +264,41 @@ func (s *Set) Bound() Bound { return s.bound }
 // Matrix returns partition p's distance matrix.
 func (s *Set) Matrix(p model.PartitionID) *Matrix { return &s.mats[p] }
 
+// Slot returns door d's slot in partition p; ok is false when d is not
+// attached to p.
+func (s *Set) Slot(d model.DoorID, p model.PartitionID) (Slot, bool) {
+	if uint(d) >= uint(len(s.first)-1) {
+		return Slot{}, false
+	}
+	for _, sl := range s.slots[s.first[d]:s.first[d+1]] {
+		if sl.Part == p {
+			return sl, true
+		}
+	}
+	return Slot{}, false
+}
+
 // Dist returns DM(p, a, b), the intra-partition distance between doors a
 // and b of partition p. It returns +Inf when either door is not attached
 // to p, so a buggy caller surfaces as an unreachable route rather than a
 // silently wrong short one.
 func (s *Set) Dist(p model.PartitionID, a, b model.DoorID) float64 {
-	d, ok := s.mats[p].Dist(a, b)
+	sa, ok := s.Slot(a, p)
 	if !ok {
 		return math.Inf(1)
 	}
-	return d
+	sb, ok := s.Slot(b, p)
+	if !ok {
+		return math.Inf(1)
+	}
+	return s.mats[p].Row(sa.Row)[sb.Row]
 }
 
 // PointToDoor returns the walking distance from an in-partition point to
 // door d of partition p (Euclidean; partitions are convex after
 // decomposition). +Inf when d is not attached to p or floors mismatch.
 func (s *Set) PointToDoor(p model.PartitionID, pt geom.Point, d model.DoorID) float64 {
-	if _, ok := s.mats[p].idx[d]; !ok {
+	if _, ok := s.Slot(d, p); !ok {
 		return math.Inf(1)
 	}
 	door := s.venue.Door(d)
@@ -253,9 +317,10 @@ func (s *Set) PointToPoint(p model.PartitionID, a, b geom.Point) float64 {
 	return a.DistXY(b)
 }
 
-// MemoryBytes estimates the total footprint of all matrices.
+// MemoryBytes estimates the total footprint of all matrices and the
+// door table.
 func (s *Set) MemoryBytes() int {
-	total := 0
+	total := len(s.slots)*12 + len(s.first)*4
 	for i := range s.mats {
 		total += s.mats[i].MemoryBytes()
 	}

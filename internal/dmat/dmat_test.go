@@ -3,6 +3,7 @@ package dmat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"indoorpath/internal/geom"
@@ -336,5 +337,75 @@ func TestBound(t *testing.T) {
 		if b := s.Bound(); b.floorCost != tc.c || b.alpha != tc.alpha*(1-boundMargin) {
 			t.Errorf("%v m stairway: bound = %+v, want c = %v and α = %v - margin", tc.stair, b, tc.c, tc.alpha)
 		}
+	}
+}
+
+// TestDoorTable pins the door table on a venue with private rooms and a
+// one-way door: each door has a slot in exactly the partitions it is
+// attached to, at its row in that partition's matrix, with the privacy
+// bits its arcs give, and Set.Dist reads the matrix entry Matrix.Dist
+// finds by its door list.
+func TestDoorTable(t *testing.T) {
+	b := model.NewBuilder("door-table")
+	hall := b.AddPartition("hall", model.HallwayPartition, geom.NewRect(0, 0, 10, 10, 0))
+	office := b.AddPartition("office", model.PrivatePartition, geom.NewRect(10, 0, 20, 10, 0))
+	shop := b.AddPartition("shop", model.PublicPartition, geom.NewRect(0, 10, 10, 20, 0))
+	closet := b.AddPartition("closet", model.PrivatePartition, geom.NewRect(20, 0, 25, 10, 0))
+	ho := b.AddDoor("h-o", model.PrivateDoor, geom.Pt(10, 5, 0), nil)
+	hs := b.AddDoor("h-s", model.PublicDoor, geom.Pt(5, 10, 0), nil)
+	oc := b.AddDoor("o-c", model.PrivateDoor, geom.Pt(20, 5, 0), nil)
+	hs2 := b.AddDoor("h-s2", model.PublicDoor, geom.Pt(8, 10, 0), nil)
+	b.ConnectBi(ho, hall, office)
+	b.ConnectOneWay(hs, hall, shop)
+	b.ConnectBi(oc, office, closet)
+	b.ConnectBi(hs2, hall, shop)
+	v := b.MustBuild()
+	s, err := Build(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int32]Slot{
+		{int32(ho), int32(hall)}:   {Part: hall},
+		{int32(ho), int32(office)}: {Part: office, Out: true, In: true},
+		{int32(hs), int32(hall)}:   {Part: hall, Out: true},
+		{int32(hs), int32(shop)}:   {Part: shop, In: true},
+		{int32(oc), int32(office)}: {Part: office},
+		{int32(oc), int32(closet)}: {Part: closet},
+		{int32(hs2), int32(hall)}:  {Part: hall, Out: true, In: true},
+		{int32(hs2), int32(shop)}:  {Part: shop, Out: true, In: true},
+	}
+	for d := range v.DoorCount() {
+		for p := range v.PartitionCount() {
+			did, pid := model.DoorID(d), model.PartitionID(p)
+			got, ok := s.Slot(did, pid)
+			w, attached := want[[2]int32{int32(d), int32(p)}]
+			if ok != attached {
+				t.Fatalf("door %d, partition %d: slot found %v, want %v", d, p, ok, attached)
+			}
+			if !ok {
+				continue
+			}
+			doors := s.Matrix(pid).Doors()
+			if w.Row = int32(slices.Index(doors, did)); got != w {
+				t.Errorf("door %d, partition %d: slot %+v, want %+v", d, p, got, w)
+			}
+		}
+	}
+	for p := range v.PartitionCount() {
+		pid := model.PartitionID(p)
+		m := s.Matrix(pid)
+		if !slices.IsSorted(m.Doors()) {
+			t.Fatalf("partition %d: doors %v do not ascend", p, m.Doors())
+		}
+		for _, a := range m.Doors() {
+			for _, c := range m.Doors() {
+				if d, ok := m.Dist(a, c); !ok || d != s.Dist(pid, a, c) {
+					t.Errorf("partition %d, doors %d and %d: Matrix.Dist %v, %v; Set.Dist %v", p, a, c, d, ok, s.Dist(pid, a, c))
+				}
+			}
+		}
+	}
+	if _, ok := s.Slot(model.NoDoor, hall); ok {
+		t.Error("NoDoor has a slot")
 	}
 }

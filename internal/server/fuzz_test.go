@@ -1,14 +1,13 @@
 // Fuzz coverage for the HTTP wire decoding/validation layer, which
-// until now only had example-based tests. The targets mirror the
-// server's own decode path (strict JSON, unknown fields rejected) and
-// then assert the validation invariants the handlers rely on: a nil
-// ErrorDoc from RouteRequest.query means a well-formed core.Query.
+// until now only had example-based tests. The targets run the server's
+// own decode path (decodeJSON: strict JSON, unknown fields and trailing
+// data rejected) and then assert the validation invariants the
+// handlers rely on: a nil ErrorDoc from RouteRequest.query means a
+// well-formed core.Query.
 package server
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"math"
 	"testing"
 
@@ -18,18 +17,8 @@ import (
 // decodeStrict is Server.decodeBody's decoding discipline without the
 // HTTP plumbing.
 func decodeStrict(raw []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errTrailing
-	}
-	return nil
+	return decodeJSON(bytes.NewReader(raw), dst)
 }
-
-var errTrailing = errors.New("trailing data after JSON body")
 
 func FuzzDecodeRouteRequest(f *testing.F) {
 	for _, seed := range []string{

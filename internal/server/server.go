@@ -756,23 +756,50 @@ func (s *Server) coalescer(ve *Venue, m core.Method) *coalesce.Coalescer {
 	return c.(*coalesce.Coalescer)
 }
 
-// decodeBody reads and strictly decodes a JSON request body.
+// decodeBody reads and strictly decodes a JSON request body
+// (decodeJSON) of at most MaxBodyBytes.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *ErrorDoc {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	err := decodeJSON(r.Body, dst)
+	if err == nil {
+		return nil
+	}
+	// Declared past the success path: its address escapes.
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return &ErrorDoc{Code: "too_large", Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	case errors.Is(err, errTrailing):
+		return badRequest("%v", err)
+	}
+	return badRequest("bad request body: %v", err)
+}
+
+// errTrailing reports bytes other than JSON whitespace after a request
+// body's JSON value.
+var errTrailing = errors.New("trailing data after JSON body")
+
+// decodeJSON decodes the one JSON value r holds into dst, rejecting
+// unknown fields. Only JSON whitespace may follow the value, up to EOF;
+// anything else is errTrailing. Unless the value itself fails to
+// decode, it reads r to its end, so the error of a capped reader
+// reports an over-long body wherever the value ends.
+func decodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &ErrorDoc{Code: "too_large", Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
-		}
-		return badRequest("bad request body: %v", err)
+		return err
 	}
-	if dec.More() {
-		return badRequest("trailing data after JSON body")
+	// At the top level, Token skips whitespace and reports io.EOF at
+	// the end of the input; any byte left is a token, a syntax error or
+	// a read error.
+	if _, err := dec.Token(); err == io.EOF {
+		return nil
 	}
-	_, _ = io.Copy(io.Discard, r.Body)
-	return nil
+	if _, err := io.Copy(io.Discard, r); err != nil {
+		return err
+	}
+	return errTrailing
 }
 
 // statusOf maps an error code to its HTTP status.

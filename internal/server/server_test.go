@@ -261,6 +261,12 @@ func TestRouteCacheHitFlag(t *testing.T) {
 	}
 }
 
+// routeBody is a found ER → ward-1 route request, 77 bytes.
+const routeBody = `{"from":{"x":30,"y":10,"floor":0},"to":{"x":5,"y":34,"floor":0},"at":"11:00"}`
+
+// trailing is the message of a body with data after its JSON value.
+const trailing = "trailing data after JSON body"
+
 func TestRouteValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	url := ts.URL + "/v1/venues/hospital/route"
@@ -283,6 +289,10 @@ func TestRouteValidation(t *testing.T) {
 		{name: "negative speed", body: RouteRequest{From: &erCentre, To: &wardCentre, At: "11:00", Speed: -1}, wantStatus: 400, wantCode: "bad_request"},
 		{name: "unknown field", raw: `{"fromm": {"x":1,"y":1,"floor":0}}`, wantStatus: 400, wantCode: "bad_request"},
 		{name: "malformed json", raw: `{"from": `, wantStatus: 400, wantCode: "bad_request"},
+		{name: "trailing brace", raw: routeBody + `}`, wantStatus: 400, wantCode: "bad_request", wantMsg: trailing},
+		{name: "trailing bracket", raw: routeBody + `]garbage`, wantStatus: 400, wantCode: "bad_request", wantMsg: trailing},
+		{name: "trailing word", raw: routeBody + ` x`, wantStatus: 400, wantCode: "bad_request", wantMsg: trailing},
+		{name: "second value", raw: routeBody + "\n{}", wantStatus: 400, wantCode: "bad_request", wantMsg: trailing},
 		{name: "not indoor", body: RouteRequest{From: &PointDoc{X: -500, Y: -500}, To: &wardCentre, At: "11:00"}, wantStatus: 422, wantCode: "not_indoor"},
 		{name: "not indoor syn", body: RouteRequest{From: outside, To: &wardCentre, At: "11:00", Method: "syn"}, wantStatus: 422, wantCode: "not_indoor", wantMsg: notIndoor},
 		{name: "not indoor waiting", body: RouteRequest{From: outside, To: &wardCentre, At: "11:00", Method: "waiting"}, wantStatus: 422, wantCode: "not_indoor", wantMsg: notIndoor},
@@ -408,6 +418,61 @@ func TestBatchValidation(t *testing.T) {
 				t.Fatalf("message %q does not mention %q", envelope.Error.Message, tc.wantIn)
 			}
 		})
+	}
+}
+
+// TestRequestBodyBounds: after a request body's JSON value only JSON
+// whitespace may follow, and a body longer than MaxBodyBytes answers
+// 413 wherever its value ends, on the route, batch and schedules
+// endpoints.
+func TestRequestBodyBounds(t *testing.T) {
+	ts, reg := newTestServer(t, Options{MaxBodyBytes: 256})
+	url := ts.URL + "/v1/venues/hospital/"
+	batchBody := `{"queries":[` + routeBody + `]}`
+	spaces := strings.Repeat(" ", 600)
+	cases := []struct {
+		name, method, path, body string
+		wantStatus               int
+		wantMsg                  string
+	}{
+		{"route, whitespace after", http.MethodPost, "route", routeBody + " \t\r\n ", 200, ""},
+		{"route, whitespace past the cap", http.MethodPost, "route", routeBody + spaces, 413, "request body exceeds 256 bytes"},
+		{"route, value past the cap", http.MethodPost, "route", `{"from":` + spaces + `{"x":30}}`, 413, "request body exceeds 256 bytes"},
+		{"route, garbage past the cap", http.MethodPost, "route", routeBody + "}" + spaces, 413, "request body exceeds 256 bytes"},
+		{"batch, whitespace after", http.MethodPost, "route:batch", batchBody + "\n", 200, ""},
+		{"batch, whitespace past the cap", http.MethodPost, "route:batch", batchBody + spaces, 413, "request body exceeds 256 bytes"},
+		{"batch, trailing braces", http.MethodPost, "route:batch", batchBody + `}}}}`, 400, trailing},
+		{"schedules, trailing bracket", http.MethodPut, "schedules", `{"updates":{"ward-1-door":null}}]`, 400, trailing},
+		{"schedules, whitespace past the cap", http.MethodPut, "schedules", `{"updates":{"ward-1-door":null}}` + spaces, 413, "request body exceeds 256 bytes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, url+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status = %d, want %d: %s", resp.StatusCode, tc.wantStatus, raw)
+			}
+			if tc.wantMsg == "" {
+				return
+			}
+			var envelope struct{ Error ErrorDoc }
+			decodeInto(t, raw, &envelope)
+			if envelope.Error.Message != tc.wantMsg {
+				t.Fatalf("message = %q, want %q", envelope.Error.Message, tc.wantMsg)
+			}
+		})
+	}
+	// Neither refused update was applied.
+	if ve, _ := reg.Get("hospital"); ve.Epoch() != 0 {
+		t.Fatalf("venue epoch = %d after refused updates, want 0", ve.Epoch())
 	}
 }
 
